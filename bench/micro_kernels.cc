@@ -26,11 +26,9 @@
 #include "sim/statevector.hh"
 #include "sim/unitary_builder.hh"
 #include "synth/batch/batched_hs_cost.hh"
-#include "synth/hs_cost.hh"
 #include "synth/instantiater.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
-#include "resilience/thread_pool.hh"
 
 namespace {
 
@@ -114,32 +112,16 @@ BM_CostGradient(benchmark::State &state)
     Ansatz a = Ansatz::initialLayer(4);
     for (int l = 0; l < layers; ++l)
         a.addLayer(l % 3, l % 3 + 1);
-    HsCost cost(target, a);
+    synth::BatchedHsCost<1> cost(target, a);
     Rng rng(1);
     std::vector<double> x(a.paramCount());
     for (double &v : x)
         v = rng.uniform(-3.0, 3.0);
     std::vector<double> grad;
     for (auto _ : state)
-        benchmark::DoNotOptimize(cost.evaluate(x, &grad));
+        benchmark::DoNotOptimize(cost.evaluate(x, grad));
 }
 BENCHMARK(BM_CostGradient)->Arg(2)->Arg(6)->Arg(12);
-
-void
-BM_HsEval(benchmark::State &state)
-{
-    const int n = static_cast<int>(state.range(0));
-    Ansatz a = benchAnsatz(n, 2 * n);
-    Matrix target = buildUnitary(lowerToNative(algos::tfim(n, 2)));
-    HsCost cost(target, a);
-    Rng rng(2);
-    std::vector<double> x(a.paramCount());
-    for (double &v : x)
-        v = rng.uniform(-3.0, 3.0);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(cost.evaluate(x, nullptr));
-}
-BENCHMARK(BM_HsEval)->Arg(2)->Arg(3)->Arg(4);
 
 void
 BM_HsEvalGrad(benchmark::State &state)
@@ -147,14 +129,14 @@ BM_HsEvalGrad(benchmark::State &state)
     const int n = static_cast<int>(state.range(0));
     Ansatz a = benchAnsatz(n, 2 * n);
     Matrix target = buildUnitary(lowerToNative(algos::tfim(n, 2)));
-    HsCost cost(target, a);
+    synth::BatchedHsCost<1> cost(target, a);
     Rng rng(3);
     std::vector<double> x(a.paramCount());
     for (double &v : x)
         v = rng.uniform(-3.0, 3.0);
     std::vector<double> grad;
     for (auto _ : state)
-        benchmark::DoNotOptimize(cost.evaluate(x, &grad));
+        benchmark::DoNotOptimize(cost.evaluate(x, grad));
 }
 BENCHMARK(BM_HsEvalGrad)->Arg(2)->Arg(3)->Arg(4);
 
@@ -215,25 +197,6 @@ BM_BudgetPoll(benchmark::State &state)
 BENCHMARK(BM_BudgetPoll)->Arg(0)->Arg(1);
 
 void
-BM_InstantiationParallel(benchmark::State &state)
-{
-    const unsigned workers = static_cast<unsigned>(state.range(0));
-    Matrix target = buildUnitary(lowerToNative(algos::tfim(3, 1)));
-    Ansatz a = Ansatz::initialLayer(3);
-    a.addLayer(0, 1);
-    a.addLayer(1, 2);
-    ThreadPool pool(workers);
-    InstantiaterOptions opts;
-    opts.multistarts = 4;
-    opts.lbfgs.maxIterations = 100;
-    opts.pool = workers > 0 ? &pool : nullptr;
-    Rng rng(7);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(instantiate(target, a, rng, opts));
-}
-BENCHMARK(BM_InstantiationParallel)->Arg(0)->Arg(3);
-
-void
 BM_DualAnnealingStep(benchmark::State &state)
 {
     AnnealObjective f = [](const std::vector<double> &x) {
@@ -264,27 +227,38 @@ msPerCall(int iters, const std::function<void()> &fn)
 }
 
 /**
- * Instantiation-engine throughput table archived as
- * BENCH_instantiation.json. Every row carries an `engine` column —
- * "scalar" is the classic per-start path (InstantiaterEngine::Scalar),
- * "simd" the batched lane-lockstep engine (engine Auto) — and both
- * engines are measured IN THE SAME RUN so the speedup ratio is
- * machine-consistent: cost evaluations per second (per candidate for
- * the batched cost), multistart instantiations per second at 2-5
- * qubits, and the legacy serial/pool latency rows CI keys on.
+ * Instantiation throughput table archived as BENCH_instantiation.json.
+ * Every row carries an `engine` column, and both columns are measured
+ * IN THE SAME RUN so their ratio is machine-consistent:
+ *
+ *  - "scalar": one candidate at a time — the cost's 1-lane
+ *    instantiation, and multistart work issued as one single-start
+ *    instantiate() call per start (which never fills a batch);
+ *  - "simd": the 8-lane batch on the dispatched ISA — per-candidate
+ *    cost throughput with every lane live, and the same starts as
+ *    one multistart call.
  *
  * The n=2..4 cases run the specialized fixed-dim kernels; n=5 (dim
- * 32) exercises both engines' generic runtime-dim kernels, and is
- * also where evaluation dominates the serial per-iteration L-BFGS
- * bookkeeping both engines share, so the end-to-end ratio approaches
- * the raw per-eval ratio. Its repetition counts are scaled down to
- * keep the full run's wall time in check.
+ * 32) runs the generic runtime-dim kernels, and is also where
+ * evaluation dominates the serial per-iteration L-BFGS bookkeeping,
+ * so the end-to-end ratio approaches the raw per-eval ratio. Its
+ * repetition counts are scaled down to keep the full run's wall time
+ * in check.
  */
 Table
 instantiationTable()
 {
     const bool smoke = quest::bench::smokeMode();
-    constexpr size_t kLanes = synth::BatchedHsCost::kLanes;
+    constexpr size_t kLanes = kern::batch::kLanes;
+
+    /** @p starts starts of @p opts, issued one instantiate() call per
+     *  start. */
+    auto oneAtATime = [](const Matrix &target, const Ansatz &a, Rng &rng,
+                         InstantiaterOptions opts, int starts) {
+        opts.multistarts = 1;
+        for (int i = 0; i < starts; ++i)
+            benchmark::DoNotOptimize(instantiate(target, a, rng, opts));
+    };
 
     Table table({"case", "engine", "metric", "value"});
     for (int n = 2; n <= 5; ++n) {
@@ -295,28 +269,23 @@ instantiationTable()
         const std::string suffix = "_n" + std::to_string(n);
         Ansatz a = benchAnsatz(n, 2 * n);
         Matrix target = buildUnitary(lowerToNative(algos::tfim(n, 2)));
-        HsCost cost(target, a);
+        synth::BatchedHsCost<1> cost(target, a);
         Rng rng(5);
         std::vector<double> x(a.paramCount());
         for (double &v : x)
             v = rng.uniform(-3.0, 3.0);
         std::vector<double> grad;
-        cost.evaluate(x, &grad);  // warm the workspace
+        cost.evaluate(x, grad);  // warm the workspace
 
         double ms = msPerCall(
             evals, [&] { benchmark::DoNotOptimize(
-                             cost.evaluate(x, nullptr)); });
-        table.addRow({"hs_eval" + suffix, "scalar", "evals_per_s",
-                      Table::num(1000.0 / ms, 1)});
-        ms = msPerCall(
-            evals, [&] { benchmark::DoNotOptimize(
-                             cost.evaluate(x, &grad)); });
+                             cost.evaluate(x, grad)); });
         table.addRow({"hs_eval_grad" + suffix, "scalar", "evals_per_s",
                       Table::num(1000.0 / ms, 1)});
 
         // Batched gradient evaluation: per-candidate throughput with
         // all kLanes lanes live.
-        synth::BatchedHsCost batched(target, a);
+        synth::BatchedHsCost<kLanes> batched(target, a);
         std::array<std::vector<double>, kLanes> xsStore;
         std::array<const std::vector<double> *, kLanes> xs{};
         std::array<std::vector<double>, kLanes> gradStore;
@@ -339,25 +308,24 @@ instantiationTable()
                                      static_cast<double>(kLanes),
                                  1)});
 
-        // End-to-end multistart instantiation, both engines, same
-        // target/ansatz/seed. Unreachable goal: every start runs to
-        // its iteration cap in both engines. Three waves of starts so
-        // the batched engine's lane refills are exercised and the
-        // final-wave lockstep tail is amortized, as in a real
-        // synthesis run where candidates keep arriving.
+        // End-to-end multistart instantiation, same target/ansatz/
+        // seed and iteration cap: 24 starts one call at a time, then
+        // as one 24-start call. Unreachable goal: every start runs to
+        // its iteration cap. Three waves of starts so the batch's
+        // lane refills are exercised and the final-wave tail is
+        // amortized, as in a real synthesis run where candidates keep
+        // arriving.
         InstantiaterOptions iopts;
         iopts.multistarts = 24;
         iopts.lbfgs.maxIterations = smoke ? 40 : 100;
         iopts.goal = 0.0;
-        iopts.engine = InstantiaterEngine::Scalar;
         Rng srng(7);
         ms = msPerCall(insts, [&] {
-            benchmark::DoNotOptimize(instantiate(target, a, srng, iopts));
+            oneAtATime(target, a, srng, iopts, iopts.multistarts);
         });
         table.addRow({"instantiate" + suffix, "scalar",
                       "instantiations_per_sec",
                       Table::num(1000.0 / ms, 2)});
-        iopts.engine = InstantiaterEngine::Auto;
         Rng brng(7);
         ms = msPerCall(insts, [&] {
             benchmark::DoNotOptimize(instantiate(target, a, brng, iopts));
@@ -367,28 +335,18 @@ instantiationTable()
                       Table::num(1000.0 / ms, 2)});
     }
 
+    // Latency of a small 4-start workload issued one start at a time.
     const int insts = smoke ? 2 : 20;
     Matrix target = buildUnitary(lowerToNative(algos::tfim(3, 1)));
     Ansatz a = Ansatz::initialLayer(3);
     a.addLayer(0, 1);
     a.addLayer(1, 2);
     InstantiaterOptions opts;
-    opts.multistarts = 4;
     opts.lbfgs.maxIterations = smoke ? 40 : 100;
-    opts.engine = InstantiaterEngine::Scalar;
     Rng rng(7);
     table.addRow({"instantiate_serial", "scalar", "ms_per_call",
                   Table::num(msPerCall(insts, [&] {
-                                 benchmark::DoNotOptimize(
-                                     instantiate(target, a, rng, opts));
-                             }),
-                             3)});
-    ThreadPool pool(3);
-    opts.pool = &pool;
-    table.addRow({"instantiate_pool4", "scalar", "ms_per_call",
-                  Table::num(msPerCall(insts, [&] {
-                                 benchmark::DoNotOptimize(
-                                     instantiate(target, a, rng, opts));
+                                 oneAtATime(target, a, rng, opts, 4);
                              }),
                              3)});
     return table;

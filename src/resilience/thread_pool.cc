@@ -71,24 +71,27 @@ void
 drainBatch(Batch &b)
 {
     for (;;) {
-        if (b.cancel && b.cancel->cancelled()) {
-            // Retire every unclaimed index without running it. The
-            // exchange hands this drainer the range [i, count); other
-            // drainers racing here (or past the end on the normal
-            // path) observe i >= count and account nothing twice.
-            size_t i = b.next.exchange(b.count,
-                                       std::memory_order_relaxed);
-            if (i < b.count) {
-                std::lock_guard<std::mutex> lock(b.m);
-                b.done += b.count - i;
-                if (b.done == b.count)
-                    b.doneCv.notify_all();
-            }
-            return;
-        }
-        size_t i = b.next.fetch_add(1, std::memory_order_relaxed);
+        // Claim before reading the token: while index i is claimed
+        // and unfinished, parallelFor's caller is still waiting, so
+        // the token its owner may destroy after the call is alive.
+        const size_t i = b.next.fetch_add(1, std::memory_order_relaxed);
         if (i >= b.count)
             return;
+        if (b.cancel && b.cancel->cancelled()) {
+            // Retire index i and every unclaimed index without
+            // running them. The exchange hands this drainer the
+            // unclaimed range [j, count); other drainers racing here
+            // observe an out-of-range index and account nothing
+            // twice.
+            const size_t j = std::min(
+                b.next.exchange(b.count, std::memory_order_relaxed),
+                b.count);
+            std::lock_guard<std::mutex> lock(b.m);
+            b.done += 1 + (b.count - j);
+            if (b.done == b.count)
+                b.doneCv.notify_all();
+            return;
+        }
         runBatchIndex(b, i);
     }
 }
@@ -193,9 +196,9 @@ ThreadPool::parallelFor(size_t count, const std::function<void(size_t)> &fn,
 
     // Helper jobs hold the batch alive; one that starts after the
     // batch is finished claims an out-of-range index and returns
-    // without touching `fn` (whose lifetime ends when this call
-    // returns — guaranteed because done == count implies every
-    // invocation of fn has completed).
+    // without touching `fn` or `cancel` (whose lifetimes may end when
+    // this call returns — guaranteed because done == count implies
+    // every invocation of fn has completed).
     const size_t helpers =
         std::min(count, static_cast<size_t>(workers.size()));
     for (size_t h = 0; h < helpers; ++h)

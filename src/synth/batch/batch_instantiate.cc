@@ -6,8 +6,6 @@
 #include "obs/metrics.hh"
 #include "synth/batch/batch_kernels.hh"
 #include "synth/batch/batched_hs_cost.hh"
-#include "synth/batch/lbfgs_machine.hh"
-#include "synth/hs_cost.hh"
 #include "util/annotations.hh"
 #include "util/logging.hh"
 #include "util/names.hh"
@@ -16,7 +14,7 @@ namespace quest::synth {
 
 namespace {
 
-/** Which ISA served a batched call (one counter per table). */
+/** Which ISA served a multistart call (one counter per table). */
 obs::Counter &
 dispatchCounter(kern::batch::SimdIsa isa)
 {
@@ -35,25 +33,6 @@ dispatchCounter(kern::batch::SimdIsa isa)
         break;
     }
     return scalar;
-}
-
-/** Retire-time flush of one lane run's lbfgs.* metrics, mirroring
- *  lbfgs.cc's LbfgsTally. */
-void
-tallyLaneRun(int evaluations, int iterations)
-{
-    static auto &calls =
-        obs::MetricsRegistry::global().counter(names::kMetricLbfgsCalls);
-    static auto &iters =
-        obs::MetricsRegistry::global().counter(names::kMetricLbfgsIterations);
-    static auto &evals = obs::MetricsRegistry::global().counter(
-        names::kMetricLbfgsEvaluations);
-    static auto &iter_hist = obs::MetricsRegistry::global().histogram(
-        names::kMetricLbfgsIterationsPerCall);
-    calls.increment();
-    evals.add(static_cast<uint64_t>(evaluations));
-    iters.add(static_cast<uint64_t>(iterations));
-    iter_hist.record(static_cast<uint64_t>(iterations));
 }
 
 } // namespace
@@ -75,26 +54,29 @@ runBatchedMultistart(const Matrix &target, const Ansatz &ansatz,
         obs::MetricsRegistry::global().counter(names::kMetricSynthBatchLanes);
     static auto &lane_refills = obs::MetricsRegistry::global().counter(
         names::kMetricSynthLaneRefills);
-    dispatchCounter(kern::batch::activeSimdIsa()).increment();
 
     constexpr double pi = std::numbers::pi;
-    constexpr size_t L = BatchedHsCost::kLanes;
+    constexpr size_t L = kern::batch::kLanes;
     const int n_starts = static_cast<int>(results.size());
     const int n_params = ansatz.paramCount();
+    if (n_starts > 1)
+        dispatchCounter(kern::batch::activeSimdIsa()).increment();
 
-    // One shared cost (and so one SoA workspace) for every lane:
-    // evaluateBatch reuses it allocation-free across all ticks.
-    BatchedHsCost cost(target, ansatz);
+    // One shared L-lane cost (and so one SoA workspace) for every
+    // lane: evaluateBatch reuses it allocation-free across all ticks.
+    // Built on the first batched tick; calls that never fill more
+    // than the tail never build it.
+    std::optional<BatchedHsCost<L>> cost;
 
-    // Scalar evaluator for the drain tail. A batch tick costs the
+    // One-lane evaluator for the drain tail. A batch tick costs the
     // same no matter how many lanes are live, so once the pending
-    // list is dry and only a couple of stragglers remain, per-lane
-    // scalar evaluation is cheaper. Per-lane bit-identity between
-    // the engines (pinned by the kernel parity tests) makes the
-    // switch invisible in every result. Built lazily: most runs
-    // drain from L to 0 quickly enough that it never exists.
-    constexpr size_t kScalarTailLanes = 2;
-    std::optional<HsCost> scalarTail;
+    // list is dry and only a couple of stragglers remain, evaluating
+    // each alone is cheaper. Per-lane bit-identity across lane counts
+    // (pinned by the kernel parity tests) makes the switch invisible
+    // in every result. Built lazily: most multistart runs drain from
+    // L to 0 quickly enough that it never exists.
+    constexpr size_t kTailLanes = 2;
+    std::optional<BatchedHsCost<1>> tail;
 
     std::array<std::optional<LbfgsMachine>, L> machines;
     std::array<int, L> laneStart;
@@ -102,8 +84,7 @@ runBatchedMultistart(const Matrix &target, const Ansatz &ansatz,
     std::array<std::vector<double>, L> gradBuf;
     std::array<double, L> fBuf{};
 
-    // Lowest start index that reached the goal, exactly as in the
-    // scalar paths; single-threaded here, so a plain int suffices.
+    // Lowest start index that reached the goal.
     int stop_at = n_starts;
     int next_pending = 0;
 
@@ -124,7 +105,7 @@ runBatchedMultistart(const Matrix &target, const Ansatz &ansatz,
     // Claim the next runnable pending start for a free lane. Starts
     // past the earliest goal index are skipped (the reduction never
     // reads them); a fired budget stops launching, leaving the rest
-    // uncomputed just like the scalar paths.
+    // uncomputed.
     auto launch = [&](size_t lane) -> bool {
         while (next_pending < n_starts) {
             if (options.budget.exhausted())
@@ -141,9 +122,7 @@ runBatchedMultistart(const Matrix &target, const Ansatz &ansatz,
     };
 
     auto retire = [&](size_t lane) {
-        LbfgsMachine &m = *machines[lane];
-        LbfgsResult r = m.takeResult();
-        tallyLaneRun(m.evaluations(), r.iterations);
+        LbfgsResult r = machines[lane]->takeResult();
         const int idx = laneStart[lane];
         const bool reached = r.value <= options.goal;
         results[static_cast<size_t>(idx)] = std::move(r);
@@ -170,8 +149,7 @@ runBatchedMultistart(const Matrix &target, const Ansatz &ansatz,
         QUEST_BOUNDED_LOOP("per-lane L-BFGS budget polls bound every machine");
         // Drop lanes that can no longer affect the serial-order
         // reduction: their start index is past the earliest goal, so
-        // their result would be discarded unread (computed stays 0,
-        // as when the scalar parallel path skips them).
+        // their result would be discarded unread (computed stays 0).
         for (size_t lane = 0; lane < L; ++lane) {
             if (machines[lane] && laneStart[lane] > stop_at) {
                 machines[lane].reset();
@@ -193,19 +171,20 @@ runBatchedMultistart(const Matrix &target, const Ansatz &ansatz,
         if (active == 0)
             break;
 
-        if (active <= kScalarTailLanes && next_pending >= n_starts) {
-            if (!scalarTail)
-                scalarTail.emplace(target, ansatz);
+        if (active <= kTailLanes && next_pending >= n_starts) {
+            if (!tail)
+                tail.emplace(target, ansatz);
             for (size_t lane = 0; lane < L; ++lane) {
                 QUEST_BOUNDED_LOOP("at most kLanes stragglers; each "
                                    "machine polls options.budget per "
                                    "iteration");
                 if (xs[lane])
-                    fBuf[lane] = scalarTail->evaluate(*xs[lane],
-                                                      grads[lane]);
+                    fBuf[lane] = tail->evaluate(*xs[lane], *grads[lane]);
             }
         } else {
-            cost.evaluateBatch(xs, fBuf, grads);
+            if (!cost)
+                cost.emplace(target, ansatz);
+            cost->evaluateBatch(xs, fBuf, grads);
             batched_evals.increment();
             batch_lanes.add(active);
         }

@@ -1,17 +1,18 @@
 /**
  * @file
- * Lane-lockstep batched multistart driver behind instantiate().
+ * Lane-lockstep multistart driver behind instantiate().
  *
  * All multistarts of one instantiate() call share the same ansatz
  * structure, so their cost evaluations batch perfectly: each live
- * lane holds one start's L-BFGS run (lbfgs_machine.hh), every tick
- * evaluates all lanes through one BatchedHsCost pass, finished lanes
- * retire and refill from the pending starts. The serial-order
- * best-of reduction stays in instantiate(); this driver only fills
- * the same results/computed arrays the scalar paths fill, with
- * bit-identical entries — so the selected result matches the scalar
- * engine at any thread count (the batch runs on the calling thread
- * and ignores the pool; the pool still parallelizes the synthesis
+ * lane holds one start's L-BFGS run (LbfgsMachine), every tick
+ * evaluates all lanes through one BatchedHsCost<kLanes> pass,
+ * finished lanes retire and refill from the pending starts. Once the
+ * pending starts are gone and at most two stragglers remain, each is
+ * evaluated alone through BatchedHsCost<1> — and so is a single-start
+ * call from its first evaluation. A start's iterates are the same in
+ * either lane count, so where it ran never shows in its result. The
+ * serial-order best-of reduction stays in instantiate(); the driver
+ * runs on the calling thread (thread pools parallelize the synthesis
  * tasks above it).
  */
 
@@ -31,11 +32,11 @@
 namespace quest::synth {
 
 /**
- * Run every multistart through the batched engine. @p streams holds
- * one pre-split RNG per start; @p lbfgsOptions already carries the
- * merged call budget. Fills results[i]/computed[i] exactly as the
- * scalar run_start would: computed stays 0 for starts skipped past
- * the earliest goal index or cut off by the budget.
+ * Run every multistart. @p streams holds one pre-split RNG per
+ * start; @p lbfgsOptions already carries the merged call budget.
+ * Fills results[i] and sets computed[i] for every start that ran to
+ * completion; computed stays 0 for starts skipped past the earliest
+ * goal index or cut off by the budget.
  */
 void runBatchedMultistart(
     const Matrix &target, const Ansatz &ansatz, std::vector<Rng> &streams,

@@ -20,7 +20,6 @@ resolveIsa()
     const bool haveAvx2 = cpu.avx2 && avx2BatchKernelsFor(2) != nullptr;
 
     switch (ov) {
-      case util::SimdOverride::Off:
       case util::SimdOverride::Scalar:
         return SimdIsa::Scalar;
       case util::SimdOverride::Avx2:
@@ -59,12 +58,6 @@ activeSimdIsa()
     return isa;
 }
 
-bool
-batchEngineEnabled()
-{
-    return util::simdOverride() != util::SimdOverride::Off;
-}
-
 const BatchKernelSet *
 batchKernelsForIsa(SimdIsa isa, size_t dim)
 {
@@ -80,11 +73,22 @@ batchKernelsForIsa(SimdIsa isa, size_t dim)
       case SimdIsa::Scalar:
         break;
     }
-    return &scalarBatchKernelsFor(dim);
+    return &scalarBatchKernelsFor<kLanes>(dim);
 }
 
+template <>
 const BatchKernelSet &
-batchKernelsFor(size_t dim)
+batchKernelsFor<1>(size_t dim)
+{
+    QUEST_ASSERT(dim >= 2 && (dim & (dim - 1)) == 0,
+                 "batched kernel dimension must be a power of two >= 2, got ",
+                 dim);
+    return scalarBatchKernelsFor<1>(dim);
+}
+
+template <>
+const BatchKernelSet &
+batchKernelsFor<kLanes>(size_t dim)
 {
     const BatchKernelSet *k = batchKernelsForIsa(activeSimdIsa(), dim);
     QUEST_ASSERT(k != nullptr, "dispatched batched kernel table missing");

@@ -1,34 +1,34 @@
 /**
  * @file
- * Lane-batched SIMD kernels for the batched instantiation engine.
+ * The instantiation kernels: the lane-batched complex matrix
+ * primitives behind the Hilbert-Schmidt cost (batched_hs_cost.hh).
  *
- * The scalar kernels (synth/kernels.hh) vectorize poorly inside one
- * evaluation: a block matrix is at most 16x16 and the complex
- * arithmetic serializes on the real/imaginary shuffle. These kernels
- * instead vectorize ACROSS candidates — a fixed batch of kLanes
+ * Within one evaluation a block matrix is at most 16x16 and the
+ * complex arithmetic serializes on the real/imaginary shuffle, so
+ * the kernels vectorize ACROSS candidates instead: a batch of L
  * parameter vectors for the same ansatz structure, laid out
  * structure-of-arrays with split real/imaginary planes so element e
- * of lane l lives at [e * kLanes + l]. Every scalar floating-point
- * operation of the reference kernel becomes one vector operation
- * across lanes, with identical per-lane order and associativity, so
- * each lane's result is bit-for-bit the scalar engine's.
+ * of lane l lives at [e * L + l]. Every floating-point operation of
+ * the loop body becomes one vector operation across lanes, with the
+ * same per-lane order and associativity, so each lane's result does
+ * not depend on L or on the ISA.
  *
- * Three implementations are compiled behind one function-pointer
- * table: a portable scalar-lane loop (always available, and the only
- * one in a QUEST_SIMD=OFF build), AVX2 (two 4-wide vectors per lane
- * group) and AVX-512 (one 8-wide vector). The memory layout and the
- * per-lane arithmetic are ISA-independent; dispatch picks the widest
- * ISA the host supports, subject to the QUEST_SIMD environment
- * override (util/cpu.hh). Bit-identity across ISAs additionally
- * requires that no multiply-add be contracted into an FMA — the
- * x86-64 baseline scalar build has no FMA — so the SIMD translation
- * units are compiled with -ffp-contract=off and use separate
- * mul/add/sub intrinsics.
+ * Two lane counts exist. L = kLanes is the multistart batch, with
+ * three implementations behind one function-pointer table: a
+ * portable scalar-lane loop (always available, and the only one in
+ * a QUEST_SIMD=OFF build), AVX2 (two 4-wide vectors per lane group)
+ * and AVX-512 (one 8-wide vector); dispatch picks the widest ISA the
+ * host supports, subject to the QUEST_SIMD environment override
+ * (util/cpu.hh). L = 1 is the single-candidate layout, always the
+ * scalar-lane loop. Bit-identity across tables additionally requires
+ * that no multiply-add be contracted into an FMA, so the kernel
+ * translation units are compiled with -ffp-contract=off and use
+ * separate mul/add/sub intrinsics.
  *
- * Like the scalar table, dims 2/4/8/16 get fully specialized
- * variants via constant propagation and wider dims fall back to
- * generic runtime-dimension loops; dispatch happens once per cost
- * object, never per evaluation.
+ * Dims 2/4/8/16 get fully specialized variants via constant
+ * propagation and wider dims fall back to generic runtime-dimension
+ * loops; dispatch happens once per cost object, never per
+ * evaluation.
  */
 
 #ifndef QUEST_SYNTH_BATCH_BATCH_KERNELS_HH
@@ -39,10 +39,10 @@
 namespace quest::kern::batch {
 
 /**
- * Fixed lane count for every ISA. Eight doubles is one AVX-512
- * vector, two AVX2 vectors, or an 8-iteration scalar loop — keeping
- * it constant makes the SoA layout (and therefore every result)
- * independent of the dispatched ISA.
+ * The multistart batch width, fixed for every ISA. Eight doubles is
+ * one AVX-512 vector, two AVX2 vectors, or an 8-iteration scalar
+ * loop — keeping it constant makes the SoA layout (and therefore
+ * every result) independent of the dispatched ISA.
  */
 inline constexpr size_t kLanes = 8;
 
@@ -58,16 +58,17 @@ enum class SimdIsa
 const char *simdIsaName(SimdIsa isa);
 
 /**
- * One dimension's batched kernel dispatch table.
+ * One (dimension, lane count) kernel dispatch table.
  *
  * Conventions: every matrix argument is flat row-major dim x dim
- * with each element expanded to kLanes doubles, split into separate
- * real/imaginary planes (mRe/mIm); @p gRe / @p gIm hold a row-major
- * 2x2 gate per lane in the same SoA layout (4 * kLanes doubles
- * each); @p bit / @p bc / @p bt are wire bits exactly as in
- * kern::KernelSet. The leading @p dim argument is the runtime
- * dimension — specialized tables ignore it in favor of their
- * compile-time constant.
+ * with each element expanded to L doubles (the table's lane count),
+ * split into separate real/imaginary planes (mRe/mIm); @p gRe /
+ * @p gIm hold a row-major 2x2 gate {g00, g01, g10, g11} per lane in
+ * the same SoA layout (4 * L doubles each). @p bit is the
+ * basis-index bit of the target wire (bit = 1 << (n - 1 - q)) and
+ * @p bc / @p bt are the CX control and target bits. The leading
+ * @p dim argument is the runtime dimension — specialized tables
+ * ignore it in favor of their compile-time constant.
  */
 struct BatchKernelSet
 {
@@ -95,9 +96,12 @@ struct BatchKernelSet
                       size_t bt);
 
     /**
-     * Per-lane trace contraction, mirroring
-     * kern::KernelSet::reduceTraceT: writes the four w2 entries as
-     * SoA (4 * kLanes doubles per plane).
+     * Per-lane trace contraction of W = P * B down to the wire's
+     * 2x2: with bt the TRANSPOSE of B (so B's columns are bt's
+     * contiguous rows), w2[a * 2 + c] = sum over rest of
+     * <P row (rest | a*bit), bt row (rest | c*bit)>, which satisfies
+     * Tr(P * B * embed(d, wire)) = sum_{a,c} w2[a*2+c] * d(c, a).
+     * Writes the four w2 entries as SoA (4 * L doubles per plane).
      */
     void (*reduceTraceT)(size_t dim, const double *pRe, const double *pIm,
                          const double *btRe, const double *btIm, size_t bit,
@@ -106,7 +110,7 @@ struct BatchKernelSet
     /**
      * Per-lane Tr(target^dagger U): @p tcRe / @p tcIm hold
      * conj(target) as plain (non-lane-expanded) dim*dim scalars
-     * broadcast across lanes; writes kLanes accumulators per plane.
+     * broadcast across lanes; writes L accumulators per plane.
      */
     void (*traceTarget)(size_t dim, const double *tcRe, const double *tcIm,
                         const double *uRe, const double *uIm, double *trRe,
@@ -114,16 +118,24 @@ struct BatchKernelSet
 };
 
 /**
- * The batched kernel table for a dim x dim block under the
- * process-wide dispatched ISA (see activeSimdIsa). Call once at
- * cost-object construction and reuse the reference.
+ * The L-lane kernel table for a dim x dim block: for L = kLanes the
+ * process-wide dispatched ISA (see activeSimdIsa), for L = 1 the
+ * scalar-lane loop. Call once at cost-object construction and reuse
+ * the reference.
  */
+template <size_t L>
 const BatchKernelSet &batchKernelsFor(size_t dim);
 
+template <>
+const BatchKernelSet &batchKernelsFor<1>(size_t dim);
+
+template <>
+const BatchKernelSet &batchKernelsFor<kLanes>(size_t dim);
+
 /**
- * The table for a specific ISA, or nullptr when that ISA was
- * compiled out or the host CPU lacks it. Test hook: the parity suite
- * runs every available ISA against the scalar reference.
+ * The kLanes-wide table for a specific ISA, or nullptr when that ISA
+ * was compiled out or the host CPU lacks it. Test hook: the parity
+ * suite runs every available ISA against the 1-lane table.
  */
 const BatchKernelSet *batchKernelsForIsa(SimdIsa isa, size_t dim);
 
@@ -133,12 +145,6 @@ const BatchKernelSet *batchKernelsForIsa(SimdIsa isa, size_t dim);
  * Cached after the first call.
  */
 SimdIsa activeSimdIsa();
-
-/**
- * False when QUEST_SIMD=off disabled the batched engine at runtime:
- * instantiate() then always takes the classic scalar path.
- */
-bool batchEngineEnabled();
 
 } // namespace quest::kern::batch
 

@@ -7,7 +7,7 @@
  * gets the nullptr stub instead of unbuildable intrinsics.
  *
  * Separate mul/add/sub intrinsics, never _mm256_fmadd_pd: each lane
- * must round exactly like the scalar engine's uncontracted
+ * must round exactly like the scalar-lane table's uncontracted
  * arithmetic.
  */
 
@@ -41,7 +41,7 @@ struct VAvx2
 const BatchKernelSet *
 avx2BatchKernelsFor(size_t dim)
 {
-    return &impl::tableForDim<VAvx2>(dim);
+    return &impl::tableForDim<VAvx2, kLanes>(dim);
 }
 
 } // namespace quest::kern::batch

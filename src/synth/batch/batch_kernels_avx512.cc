@@ -6,7 +6,7 @@
  * are in effect.
  *
  * Separate mul/add/sub intrinsics, never _mm512_fmadd_pd: each lane
- * must round exactly like the scalar engine's uncontracted
+ * must round exactly like the scalar-lane table's uncontracted
  * arithmetic.
  */
 
@@ -40,7 +40,7 @@ struct VAvx512
 const BatchKernelSet *
 avx512BatchKernelsFor(size_t dim)
 {
-    return &impl::tableForDim<VAvx512>(dim);
+    return &impl::tableForDim<VAvx512, kLanes>(dim);
 }
 
 } // namespace quest::kern::batch

@@ -1,10 +1,12 @@
 /**
  * @file
- * Shared loop bodies for the batched kernels, templated on a
- * vector-ops policy. Each ISA translation unit instantiates these
- * with its own policy (scalar double, __m256d, __m512d), so the loop
- * structure — and therefore the per-lane operation order — is
- * written exactly once.
+ * The instantiation kernels' loop bodies, written once and templated
+ * on a vector-ops policy V and a lane count L. Each ISA translation
+ * unit instantiates them with its own policy (scalar double,
+ * __m256d, __m512d); the scalar-lane unit also instantiates L = 1,
+ * the single-candidate layout. The loop structure — and therefore
+ * the per-lane operation order — exists exactly once, so every
+ * (V, L) instantiation computes bit-identical per-lane values.
  *
  * A policy V provides:
  *     using Reg = ...;                   // one vector register
@@ -17,12 +19,11 @@
  *     static Reg  sub(Reg, Reg);
  *     static Reg  mul(Reg, Reg);
  *
- * Bit-identity contract: every body is a 1:1 translation of the
- * scalar kernel body in synth/kernels.cc — same loop order, same
- * operand order, complex arithmetic spelled with separate mul/add/sub
- * (never fused; the including TU must be compiled with
- * -ffp-contract=off). Do not "optimize" an expression here without
- * making the identical change to the scalar kernel.
+ * Complex arithmetic is spelled with separate mul/add/sub, never
+ * fused (the including TU must be compiled with -ffp-contract=off).
+ * The operation order is pinned by golden bit patterns in
+ * tests/synth_kernels_test.cc: reordering any expression here
+ * changes rounding and fails that test.
  */
 
 #ifndef QUEST_SYNTH_BATCH_BATCH_KERNELS_IMPL_HH
@@ -32,14 +33,14 @@
 
 namespace quest::kern::batch::impl {
 
-/** Loop bodies for one (policy, compile-time dim) pair; D == 0 means
- *  runtime dimension. */
-template <class V, size_t D>
+/** Loop bodies for one (policy, lane count, compile-time dim)
+ *  triple; D == 0 means runtime dimension. */
+template <class V, size_t L, size_t D>
 struct Bodies
 {
     using Reg = typename V::Reg;
     static constexpr size_t W = V::width;
-    static_assert(kLanes % W == 0, "lane count must be a register multiple");
+    static_assert(L % W == 0, "lane count must be a register multiple");
 
     static void
     leftU3(size_t dimArg, double *mRe, double *mIm, const double *gRe,
@@ -47,23 +48,23 @@ struct Bodies
     {
         const size_t dim = D ? D : dimArg;
         const size_t lo = bit - 1;
-        for (size_t v = 0; v < kLanes; v += W) {
-            const Reg g00r = V::load(gRe + 0 * kLanes + v);
-            const Reg g00i = V::load(gIm + 0 * kLanes + v);
-            const Reg g01r = V::load(gRe + 1 * kLanes + v);
-            const Reg g01i = V::load(gIm + 1 * kLanes + v);
-            const Reg g10r = V::load(gRe + 2 * kLanes + v);
-            const Reg g10i = V::load(gIm + 2 * kLanes + v);
-            const Reg g11r = V::load(gRe + 3 * kLanes + v);
-            const Reg g11i = V::load(gIm + 3 * kLanes + v);
+        for (size_t v = 0; v < L; v += W) {
+            const Reg g00r = V::load(gRe + 0 * L + v);
+            const Reg g00i = V::load(gIm + 0 * L + v);
+            const Reg g01r = V::load(gRe + 1 * L + v);
+            const Reg g01i = V::load(gIm + 1 * L + v);
+            const Reg g10r = V::load(gRe + 2 * L + v);
+            const Reg g10i = V::load(gIm + 2 * L + v);
+            const Reg g11r = V::load(gRe + 3 * L + v);
+            const Reg g11i = V::load(gIm + 3 * L + v);
             for (size_t h = 0; h < dim / 2; ++h) {
                 const size_t r0 = ((h & ~lo) << 1) | (h & lo);
-                double *row0Re = mRe + r0 * dim * kLanes;
-                double *row0Im = mIm + r0 * dim * kLanes;
-                double *row1Re = mRe + (r0 | bit) * dim * kLanes;
-                double *row1Im = mIm + (r0 | bit) * dim * kLanes;
+                double *row0Re = mRe + r0 * dim * L;
+                double *row0Im = mIm + r0 * dim * L;
+                double *row1Re = mRe + (r0 | bit) * dim * L;
+                double *row1Im = mIm + (r0 | bit) * dim * L;
                 for (size_t c = 0; c < dim; ++c) {
-                    const size_t off = c * kLanes + v;
+                    const size_t off = c * L + v;
                     const Reg ar = V::load(row0Re + off);
                     const Reg ai = V::load(row0Im + off);
                     const Reg br = V::load(row1Re + off);
@@ -104,27 +105,27 @@ struct Bodies
         // separate slice copy.
         const size_t dim = D ? D : dimArg;
         const size_t lo = bit - 1;
-        for (size_t v = 0; v < kLanes; v += W) {
-            const Reg g00r = V::load(gRe + 0 * kLanes + v);
-            const Reg g00i = V::load(gIm + 0 * kLanes + v);
-            const Reg g01r = V::load(gRe + 1 * kLanes + v);
-            const Reg g01i = V::load(gIm + 1 * kLanes + v);
-            const Reg g10r = V::load(gRe + 2 * kLanes + v);
-            const Reg g10i = V::load(gIm + 2 * kLanes + v);
-            const Reg g11r = V::load(gRe + 3 * kLanes + v);
-            const Reg g11i = V::load(gIm + 3 * kLanes + v);
+        for (size_t v = 0; v < L; v += W) {
+            const Reg g00r = V::load(gRe + 0 * L + v);
+            const Reg g00i = V::load(gIm + 0 * L + v);
+            const Reg g01r = V::load(gRe + 1 * L + v);
+            const Reg g01i = V::load(gIm + 1 * L + v);
+            const Reg g10r = V::load(gRe + 2 * L + v);
+            const Reg g10i = V::load(gIm + 2 * L + v);
+            const Reg g11r = V::load(gRe + 3 * L + v);
+            const Reg g11i = V::load(gIm + 3 * L + v);
             for (size_t h = 0; h < dim / 2; ++h) {
                 const size_t r0 = ((h & ~lo) << 1) | (h & lo);
-                const double *s0Re = srcRe + r0 * dim * kLanes;
-                const double *s0Im = srcIm + r0 * dim * kLanes;
-                const double *s1Re = srcRe + (r0 | bit) * dim * kLanes;
-                const double *s1Im = srcIm + (r0 | bit) * dim * kLanes;
-                double *d0Re = dstRe + r0 * dim * kLanes;
-                double *d0Im = dstIm + r0 * dim * kLanes;
-                double *d1Re = dstRe + (r0 | bit) * dim * kLanes;
-                double *d1Im = dstIm + (r0 | bit) * dim * kLanes;
+                const double *s0Re = srcRe + r0 * dim * L;
+                const double *s0Im = srcIm + r0 * dim * L;
+                const double *s1Re = srcRe + (r0 | bit) * dim * L;
+                const double *s1Im = srcIm + (r0 | bit) * dim * L;
+                double *d0Re = dstRe + r0 * dim * L;
+                double *d0Im = dstIm + r0 * dim * L;
+                double *d1Re = dstRe + (r0 | bit) * dim * L;
+                double *d1Im = dstIm + (r0 | bit) * dim * L;
                 for (size_t c = 0; c < dim; ++c) {
-                    const size_t off = c * kLanes + v;
+                    const size_t off = c * L + v;
                     const Reg ar = V::load(s0Re + off);
                     const Reg ai = V::load(s0Im + off);
                     const Reg br = V::load(s1Re + off);
@@ -158,13 +159,13 @@ struct Bodies
         const size_t dim = D ? D : dimArg;
         for (size_t r = 0; r < dim; ++r) {
             if ((r & bc) && !(r & bt)) {
-                double *row0Re = mRe + r * dim * kLanes;
-                double *row0Im = mIm + r * dim * kLanes;
-                double *row1Re = mRe + (r | bt) * dim * kLanes;
-                double *row1Im = mIm + (r | bt) * dim * kLanes;
+                double *row0Re = mRe + r * dim * L;
+                double *row0Im = mIm + r * dim * L;
+                double *row1Re = mRe + (r | bt) * dim * L;
+                double *row1Im = mIm + (r | bt) * dim * L;
                 for (size_t c = 0; c < dim; ++c) {
-                    for (size_t v = 0; v < kLanes; v += W) {
-                        const size_t off = c * kLanes + v;
+                    for (size_t v = 0; v < L; v += W) {
+                        const size_t off = c * L + v;
                         const Reg tr = V::load(row0Re + off);
                         const Reg ti = V::load(row0Im + off);
                         V::store(row0Re + off, V::load(row1Re + off));
@@ -187,7 +188,7 @@ struct Bodies
         // control bit is set, row r otherwise. Pure copies, trivially
         // bit-identical to copy-then-swap.
         const size_t dim = D ? D : dimArg;
-        const size_t rowL = dim * kLanes;
+        const size_t rowL = dim * L;
         for (size_t r = 0; r < dim; ++r) {
             const size_t src = (r & bc) ? (r ^ bt) : r;
             const double *sRe = srcRe + src * rowL;
@@ -208,23 +209,23 @@ struct Bodies
     {
         const size_t dim = D ? D : dimArg;
         const size_t lo = bit - 1;
-        for (size_t v = 0; v < kLanes; v += W) {
+        for (size_t v = 0; v < L; v += W) {
             Reg w00r = V::zero(), w00i = V::zero();
             Reg w01r = V::zero(), w01i = V::zero();
             Reg w10r = V::zero(), w10i = V::zero();
             Reg w11r = V::zero(), w11i = V::zero();
             for (size_t h = 0; h < dim / 2; ++h) {
                 const size_t r0 = ((h & ~lo) << 1) | (h & lo);
-                const double *p0Re = pRe + r0 * dim * kLanes;
-                const double *p0Im = pIm + r0 * dim * kLanes;
-                const double *p1Re = pRe + (r0 | bit) * dim * kLanes;
-                const double *p1Im = pIm + (r0 | bit) * dim * kLanes;
-                const double *b0Re = btRe + r0 * dim * kLanes;
-                const double *b0Im = btIm + r0 * dim * kLanes;
-                const double *b1Re = btRe + (r0 | bit) * dim * kLanes;
-                const double *b1Im = btIm + (r0 | bit) * dim * kLanes;
+                const double *p0Re = pRe + r0 * dim * L;
+                const double *p0Im = pIm + r0 * dim * L;
+                const double *p1Re = pRe + (r0 | bit) * dim * L;
+                const double *p1Im = pIm + (r0 | bit) * dim * L;
+                const double *b0Re = btRe + r0 * dim * L;
+                const double *b0Im = btIm + r0 * dim * L;
+                const double *b1Re = btRe + (r0 | bit) * dim * L;
+                const double *b1Im = btIm + (r0 | bit) * dim * L;
                 for (size_t c = 0; c < dim; ++c) {
-                    const size_t off = c * kLanes + v;
+                    const size_t off = c * L + v;
                     const Reg par = V::load(p0Re + off);
                     const Reg pai = V::load(p0Im + off);
                     const Reg pbr = V::load(p1Re + off);
@@ -255,14 +256,14 @@ struct Bodies
                                   V::add(V::mul(pbr, bbi), V::mul(pbi, bbr)));
                 }
             }
-            V::store(w2Re + 0 * kLanes + v, w00r);
-            V::store(w2Im + 0 * kLanes + v, w00i);
-            V::store(w2Re + 1 * kLanes + v, w01r);
-            V::store(w2Im + 1 * kLanes + v, w01i);
-            V::store(w2Re + 2 * kLanes + v, w10r);
-            V::store(w2Im + 2 * kLanes + v, w10i);
-            V::store(w2Re + 3 * kLanes + v, w11r);
-            V::store(w2Im + 3 * kLanes + v, w11i);
+            V::store(w2Re + 0 * L + v, w00r);
+            V::store(w2Im + 0 * L + v, w00i);
+            V::store(w2Re + 1 * L + v, w01r);
+            V::store(w2Im + 1 * L + v, w01i);
+            V::store(w2Re + 2 * L + v, w10r);
+            V::store(w2Im + 2 * L + v, w10i);
+            V::store(w2Re + 3 * L + v, w11r);
+            V::store(w2Im + 3 * L + v, w11i);
         }
     }
 
@@ -273,13 +274,13 @@ struct Bodies
     {
         const size_t dim = D ? D : dimArg;
         const size_t dd = dim * dim;
-        for (size_t v = 0; v < kLanes; v += W) {
+        for (size_t v = 0; v < L; v += W) {
             Reg accr = V::zero(), acci = V::zero();
             for (size_t e = 0; e < dd; ++e) {
                 const Reg tcr = V::set1(tcRe[e]);
                 const Reg tci = V::set1(tcIm[e]);
-                const Reg ur = V::load(uRe + e * kLanes + v);
-                const Reg ui = V::load(uIm + e * kLanes + v);
+                const Reg ur = V::load(uRe + e * L + v);
+                const Reg ui = V::load(uIm + e * L + v);
                 // tr += cmul(tc, u)
                 accr = V::add(accr, V::sub(V::mul(tcr, ur), V::mul(tci, ui)));
                 acci = V::add(acci, V::add(V::mul(tcr, ui), V::mul(tci, ur)));
@@ -290,26 +291,26 @@ struct Bodies
     }
 };
 
-template <class V, size_t D>
+template <class V, size_t L, size_t D>
 constexpr BatchKernelSet
 makeSet()
 {
-    return {&Bodies<V, D>::leftU3, &Bodies<V, D>::leftU3Out,
-            &Bodies<V, D>::leftCx, &Bodies<V, D>::leftCxOut,
-            &Bodies<V, D>::reduceTraceT, &Bodies<V, D>::traceTarget};
+    using B = Bodies<V, L, D>;
+    return {&B::leftU3,    &B::leftU3Out,    &B::leftCx,
+            &B::leftCxOut, &B::reduceTraceT, &B::traceTarget};
 }
 
-/** The per-dim dispatch for one policy: specialized tables for dims
- *  2/4/8/16, the generic-loop table beyond. */
-template <class V>
+/** The per-dim dispatch for one (policy, lane count): specialized
+ *  tables for dims 2/4/8/16, the generic-loop table beyond. */
+template <class V, size_t L>
 const BatchKernelSet &
 tableForDim(size_t dim)
 {
-    static constexpr BatchKernelSet kGeneric = makeSet<V, 0>();
-    static constexpr BatchKernelSet kD2 = makeSet<V, 2>();
-    static constexpr BatchKernelSet kD4 = makeSet<V, 4>();
-    static constexpr BatchKernelSet kD8 = makeSet<V, 8>();
-    static constexpr BatchKernelSet kD16 = makeSet<V, 16>();
+    static constexpr BatchKernelSet kGeneric = makeSet<V, L, 0>();
+    static constexpr BatchKernelSet kD2 = makeSet<V, L, 2>();
+    static constexpr BatchKernelSet kD4 = makeSet<V, L, 4>();
+    static constexpr BatchKernelSet kD8 = makeSet<V, L, 8>();
+    static constexpr BatchKernelSet kD16 = makeSet<V, L, 16>();
     switch (dim) {
       case 2:
         return kD2;

@@ -1,9 +1,11 @@
 /**
- * Portable scalar-lane instantiation of the batched kernel bodies:
- * the no-SIMD build's only table and the fallback on hosts without
- * AVX2. Compiled with -ffp-contract=off like the SIMD units so a
- * toolchain that enables FMA globally cannot contract the complex
- * mul/add chains and break cross-engine bit-identity.
+ * Portable scalar-lane instantiations of the kernel bodies: the
+ * one-candidate (L = 1) table every instantiation's single-start and
+ * straggler evaluations run on, and the kLanes-wide table that is
+ * the no-SIMD build's only batch table and the fallback on hosts
+ * without AVX2. Compiled with -ffp-contract=off like the SIMD units
+ * so a toolchain that enables FMA globally cannot contract the
+ * complex mul/add chains and break cross-table bit-identity.
  */
 
 #include "synth/batch/batch_kernels_impl.hh"
@@ -28,10 +30,14 @@ struct VScalar
 
 } // namespace
 
+template <size_t L>
 const BatchKernelSet &
 scalarBatchKernelsFor(size_t dim)
 {
-    return impl::tableForDim<VScalar>(dim);
+    return impl::tableForDim<VScalar, L>(dim);
 }
+
+template const BatchKernelSet &scalarBatchKernelsFor<1>(size_t dim);
+template const BatchKernelSet &scalarBatchKernelsFor<kLanes>(size_t dim);
 
 } // namespace quest::kern::batch

@@ -11,7 +11,9 @@
 
 namespace quest::kern::batch {
 
-/** Portable scalar-lane table; always available. */
+/** Portable scalar-lane table for @p L lanes (1 or kLanes); always
+ *  available. */
+template <size_t L>
 const BatchKernelSet &scalarBatchKernelsFor(size_t dim);
 
 /** AVX2 table, or nullptr when compiled out (QUEST_SIMD=OFF or a

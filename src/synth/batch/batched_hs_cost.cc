@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/metrics.hh"
-#include "synth/kernels.hh"
 #include "util/logging.hh"
 #include "util/names.hh"
 
@@ -12,10 +11,41 @@ namespace quest::synth {
 
 namespace {
 
-using kern::cmul;
+/** Complex multiply without the NaN-fixup branch of operator*: the
+ *  same mul/sub/add sequence the kernel bodies spell out. */
+inline Complex
+cmul(const Complex &a, const Complex &b)
+{
+    return Complex(a.real() * b.real() - a.imag() * b.imag(),
+                   a.real() * b.imag() + a.imag() * b.real());
+}
 
-/** Evaluate calls that reused the workspace without allocating —
- *  same counter as the scalar engine's warm-workspace path. */
+/** Compile the ansatz op sequence into wire bits and parameter
+ *  bases. */
+CompiledPlan
+compilePlan(const Ansatz &ansatz)
+{
+    CompiledPlan plan;
+    const auto &ops = ansatz.operations();
+    plan.ops.reserve(ops.size());
+    int p = 0;
+    for (const AnsatzOp &op : ops) {
+        OpPlan e;
+        e.isCx = op.isCx;
+        e.bit = ansatz.wireBit(op.a);
+        e.bit2 = op.isCx ? ansatz.wireBit(op.b) : 0;
+        e.base = op.isCx ? -1 : p;
+        if (!op.isCx) {
+            p += 3;
+            ++plan.u3Count;
+        }
+        plan.ops.push_back(e);
+    }
+    plan.nParams = p;
+    return plan;
+}
+
+/** Evaluate calls that reused the workspace without allocating. */
 obs::Counter &
 workspaceReuseCounter()
 {
@@ -27,9 +57,10 @@ workspaceReuseCounter()
 } // namespace
 
 bool
-BatchedHsWorkspace::ensure(size_t dim, size_t opCount, size_t u3Count)
+BatchedHsWorkspace::ensure(size_t dim, size_t lanes, size_t opCount,
+                           size_t u3Count)
 {
-    constexpr size_t L = kern::batch::kLanes;
+    const size_t L = lanes;
     const size_t ddL = dim * dim * L;
     bool grew = false;
     auto fit = [&grew](std::vector<double> &v, double *&base, size_t n) {
@@ -60,7 +91,8 @@ BatchedHsWorkspace::ensure(size_t dim, size_t opCount, size_t u3Count)
     return grew;
 }
 
-BatchedHsCost::BatchedHsCost(const Matrix &target, const Ansatz &ansatz)
+template <size_t L>
+BatchedHsCost<L>::BatchedHsCost(const Matrix &target, const Ansatz &ansatz)
 {
     QUEST_ASSERT(target.isSquare(), "target must be square");
     QUEST_ASSERT(target.rows() == (size_t{1} << ansatz.numQubits()),
@@ -68,7 +100,7 @@ BatchedHsCost::BatchedHsCost(const Matrix &target, const Ansatz &ansatz)
     dim = target.rows();
     const double n = static_cast<double>(dim);
     dimSquared = n * n;
-    kernels = &kern::batch::batchKernelsFor(dim);
+    kernels = &kern::batch::batchKernelsFor<L>(dim);
     plan = compilePlan(ansatz);
 
     tcRe.resize(dim * dim);
@@ -85,22 +117,22 @@ BatchedHsCost::BatchedHsCost(const Matrix &target, const Ansatz &ansatz)
     u3WithDerivatives(0.0, 0.0, 0.0, idleG, idleDg);
 
     // Warm the arena now so every evaluateBatch() is allocation-free.
-    ws.ensure(dim, plan.ops.size(), plan.u3Count);
+    ws.ensure(dim, L, plan.ops.size(), plan.u3Count);
 }
 
+template <size_t L>
 void
-BatchedHsCost::evaluateBatch(
-    const std::array<const std::vector<double> *, kLanes> &xs,
-    std::array<double, kLanes> &f,
-    const std::array<std::vector<double> *, kLanes> &grads)
+BatchedHsCost<L>::evaluateBatch(
+    const std::array<const std::vector<double> *, L> &xs,
+    std::array<double, L> &f,
+    const std::array<std::vector<double> *, L> &grads)
 {
-    constexpr size_t L = kLanes;
     const size_t count = plan.ops.size();
     const size_t dd = dim * dim;
     const size_t ddL = dd * L;
     const kern::batch::BatchKernelSet &k = *kernels;
 
-    if (!ws.ensure(dim, count, plan.u3Count))
+    if (!ws.ensure(dim, L, count, plan.u3Count))
         workspaceReuseCounter().increment();
 
     for (size_t l = 0; l < L; ++l) {
@@ -115,9 +147,9 @@ BatchedHsCost::evaluateBatch(
 
     // Forward pass, all lanes at once: prefix slice j holds
     // op_{j-1} ... op_0 per lane (slice 0 is the identity). U3
-    // entries and derivatives come from one scalar u3WithDerivatives
-    // per (op, lane) — the exact libm values the scalar engine sees —
-    // fanned into the SoA gate cache.
+    // entries and all three derivatives come from one scalar
+    // u3WithDerivatives per (op, lane), fanned into the SoA gate
+    // cache for the backward pass.
     double *preRe = ws.preRe;
     double *preIm = ws.preIm;
     std::fill(preRe, preRe + ddL, 0.0);
@@ -172,10 +204,14 @@ BatchedHsCost::evaluateBatch(
     k.traceTarget(dim, tcRe.data(), tcIm.data(), preRe + count * ddL,
                   preIm + count * ddL, ws.tRe, ws.tIm);
 
-    // Backward pass, transposed, exactly as in HsCost::evaluate: bt
-    // starts as conj(target) in every lane; each U3 contributes three
-    // gradient entries per lane via the trace contraction, then its
-    // transposed gate is appended.
+    // Backward pass, transposed: bt = B^T with
+    // B = target^dagger * op_{count-1} ... op_{j+1}, so B's strided
+    // columns become bt's contiguous rows and every update is a
+    // row-mixing kernel. Initially bt = (target^dagger)^T =
+    // conj(target) in every lane; appending op j on B's right
+    // (B <- B * embed(g)) is bt <- embed(g)^T * bt, i.e. leftU3 with
+    // the transposed gate. Each U3 first contributes its three
+    // gradient entries per lane via the trace contraction.
     double *btRe = ws.bwdRe;
     double *btIm = ws.bwdIm;
     for (size_t e = 0; e < dd; ++e) {
@@ -202,8 +238,7 @@ BatchedHsCost::evaluateBatch(
             for (size_t l = 0; l < L; ++l) {
                 if (!xs[l])
                     continue;
-                // Reconstruct per-lane complexes and evaluate the
-                // scalar engine's expression verbatim:
+                // Per-lane complexes:
                 // Tr(W * embed(d)) = sum_ac w2[a][c] d(c, a).
                 const Complex w0(ws.wRe[0 * L + l], ws.wIm[0 * L + l]);
                 const Complex w1(ws.wRe[1 * L + l], ws.wIm[1 * L + l]);
@@ -242,5 +277,8 @@ BatchedHsCost::evaluateBatch(
         f[l] = 1.0 - std::norm(tr) / dimSquared;
     }
 }
+
+template class BatchedHsCost<1>;
+template class BatchedHsCost<kern::batch::kLanes>;
 
 } // namespace quest::synth

@@ -1,23 +1,25 @@
 /**
  * @file
- * Lane-batched Hilbert-Schmidt cost: one evaluation computes the
- * objective and analytic gradient for up to kLanes parameter vectors
- * of the SAME ansatz against the SAME target.
+ * Hilbert-Schmidt synthesis cost with analytic gradient, evaluated
+ * for L parameter vectors of the SAME ansatz against the SAME target
+ * in one pass.
  *
- * The op plan, the target conjugate and the loop structure are
- * exactly the scalar HsCost's (hs_cost.cc); the matrices are laid
- * out structure-of-arrays (batch_kernels.hh) and every scalar
- * floating-point operation becomes one vector operation across
- * lanes. Trigonometry stays scalar: u3WithDerivatives runs once per
- * (op, lane) and is fanned into the SoA gate cache, so the libm
- * values each lane sees are the ones the scalar engine would
- * compute. The result is bit-for-bit parity per lane, which the
- * batched multistart driver (batch_instantiate.cc) relies on and the
- * determinism tests pin.
+ * The objective is f(theta) = 1 - |Tr(U^dagger A(theta))|^2 / N^2,
+ * whose square root is the paper's HS process distance; the
+ * gradient is computed analytically from the ansatz parameter
+ * derivatives. This is the innermost loop of numerical
+ * instantiation: L-BFGS evaluates it at every point it visits.
  *
- * Only the gradient path exists: L-BFGS evaluates the gradient at
- * every point it visits, so a batched value-only path would have no
- * caller.
+ * Matrices are laid out structure-of-arrays across the L lanes
+ * (batch_kernels.hh). Trigonometry stays scalar: u3WithDerivatives
+ * runs once per (op, lane) and is fanned into the SoA gate cache, so
+ * every lane sees the same libm values whatever L is. Two lane
+ * counts are instantiated: BatchedHsCost<kLanes> evaluates a
+ * multistart batch, BatchedHsCost<1> a single candidate. Both run
+ * the same kernel bodies and this file's one loop structure, so a
+ * candidate's value and gradient are bit-identical in either; the
+ * multistart driver (batch_instantiate.cc) relies on that when it
+ * moves stragglers to the 1-lane cost.
  */
 
 #ifndef QUEST_SYNTH_BATCH_BATCHED_HS_COST_HH
@@ -30,9 +32,27 @@
 #include "linalg/matrix.hh"
 #include "synth/ansatz.hh"
 #include "synth/batch/batch_kernels.hh"
-#include "synth/op_plan.hh"
 
 namespace quest::synth {
+
+/** One op of the precompiled execution plan: wire bits and the
+ *  parameter base are structural, so they are resolved once at
+ *  cost-object construction. */
+struct OpPlan
+{
+    bool isCx;
+    size_t bit;   //!< U3 wire bit, or CX control bit
+    size_t bit2;  //!< CX target bit (unused for U3)
+    int base;     //!< first parameter index (-1 for CX)
+};
+
+/** The full plan for an ansatz, plus the derived counts. */
+struct CompiledPlan
+{
+    std::vector<OpPlan> ops;
+    size_t u3Count = 0;
+    int nParams = 0;
+};
 
 /**
  * Flat SoA scratch arena reused across evaluateBatch() calls. All
@@ -52,7 +72,7 @@ struct BatchedHsWorkspace
 
     /**
      * 64-byte-aligned base of each buffer above, set by ensure(). One
-     * lane group is kLanes doubles = one cache line, so an aligned
+     * lane group of the 8-lane batch is one cache line, so an aligned
      * base keeps every vector load/store within a single line;
      * vector<double>'s own data() is only 16-byte aligned, which
      * would split EVERY 64-byte access across two lines. The vectors
@@ -70,20 +90,20 @@ struct BatchedHsWorkspace
     uint64_t allocations = 0;  //!< ensure() calls that grew a buffer
     uint64_t reuses = 0;       //!< ensure() calls served without growth
 
-    /** Size the arena; returns true when any buffer had to grow. */
-    bool ensure(size_t dim, size_t opCount, size_t u3Count);
+    /** Size the arena for @p lanes lanes; returns true when any
+     *  buffer had to grow. */
+    bool ensure(size_t dim, size_t lanes, size_t opCount, size_t u3Count);
 };
 
 /**
- * Batched counterpart of HsCost. Not safe for concurrent
- * evaluateBatch() calls on one instance; the batched multistart
- * driver owns one instance and runs on a single thread.
+ * The L-lane cost. Not safe for concurrent evaluateBatch() calls on
+ * one instance; the multistart driver owns its instances and runs on
+ * a single thread.
  */
+template <size_t L>
 class BatchedHsCost
 {
   public:
-    static constexpr size_t kLanes = kern::batch::kLanes;
-
     BatchedHsCost(const Matrix &target, const Ansatz &ansatz);
 
     /**
@@ -95,11 +115,20 @@ class BatchedHsCost
      * paramCount()) the analytic gradient. Allocation-free after the
      * constructor.
      */
-    void evaluateBatch(const std::array<const std::vector<double> *,
-                                        kLanes> &xs,
-                       std::array<double, kLanes> &f,
-                       const std::array<std::vector<double> *, kLanes>
-                           &grads);
+    void evaluateBatch(const std::array<const std::vector<double> *, L> &xs,
+                       std::array<double, L> &f,
+                       const std::array<std::vector<double> *, L> &grads);
+
+    /** The one-lane call: the objective at @p x, its gradient into
+     *  @p grad. */
+    double
+    evaluate(const std::vector<double> &x, std::vector<double> &grad)
+        requires(L == 1)
+    {
+        std::array<double, 1> f;
+        evaluateBatch({&x}, f, {&grad});
+        return f[0];
+    }
 
     int paramCount() const { return plan.nParams; }
 
@@ -107,7 +136,7 @@ class BatchedHsCost
     const BatchedHsWorkspace &workspace() const { return ws; }
 
     /** The kernel table in use (test/diagnostic hook); defaults to
-     *  the process-wide dispatch, overridable for parity tests. */
+     *  batchKernelsFor<L>, overridable for parity tests. */
     void useKernels(const kern::batch::BatchKernelSet &k) { kernels = &k; }
 
   private:
@@ -120,6 +149,9 @@ class BatchedHsCost
     Complex idleDg[3][4];   //!< ... and derivatives, for idle lanes
     BatchedHsWorkspace ws;
 };
+
+extern template class BatchedHsCost<1>;
+extern template class BatchedHsCost<kern::batch::kLanes>;
 
 } // namespace quest::synth
 

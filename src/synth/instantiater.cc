@@ -1,18 +1,13 @@
 #include "synth/instantiater.hh"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numbers>
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "synth/batch/batch_instantiate.hh"
-#include "synth/batch/batch_kernels.hh"
-#include "synth/hs_cost.hh"
-#include "util/logging.hh"
-#include "resilience/thread_pool.hh"
 #include "util/names.hh"
 
 namespace quest {
@@ -25,15 +20,10 @@ instantiate(const Matrix &target, const Ansatz &ansatz, Rng &rng,
     QUEST_TRACE_SCOPE("synth.instantiate");
     static auto &calls =
         obs::MetricsRegistry::global().counter(names::kMetricSynthInstantiations);
-    static auto &starts_counter =
-        obs::MetricsRegistry::global().counter(names::kMetricSynthMultistarts);
-    static auto &parallel_counter =
-        obs::MetricsRegistry::global().counter(names::kMetricSynthParallelStarts);
     static auto &early_counter =
         obs::MetricsRegistry::global().counter(names::kMetricSynthEarlyStops);
     calls.increment();
 
-    constexpr double pi = std::numbers::pi;
     const int n_params = ansatz.paramCount();
     const int n_starts = std::max(1, options.multistarts);
 
@@ -47,88 +37,20 @@ instantiate(const Matrix &target, const Ansatz &ansatz, Rng &rng,
         lbfgsOptions.budget.cancel = options.budget.cancel;
 
     // Per-start RNG streams, split serially up front: stream i is the
-    // same whether start i later runs on the caller or on any worker.
+    // same whichever lane later runs start i.
     std::vector<Rng> streams = rng.splitN(static_cast<size_t>(n_starts));
 
     std::vector<LbfgsResult> results(static_cast<size_t>(n_starts));
     std::vector<uint8_t> computed(static_cast<size_t>(n_starts), 0);
-
-    // Lowest start index that reached the goal. Starts beyond it are
-    // skippable: the serial-order reduction below never reads past the
-    // earliest goal index, so dropping them cannot change the result.
-    std::atomic<int> stop_at{n_starts};
-
-    auto run_start = [&](size_t i) {
-        const int idx = static_cast<int>(i);
-        if (idx > stop_at.load(std::memory_order_acquire))
-            return;
-        if (options.budget.exhausted())
-            return; // leave computed[i] == 0: the reduction stops here
-        starts_counter.increment();
-
-        // One cost object (and so one workspace) per start: evaluate
-        // reuses it allocation-free across every L-BFGS iteration.
-        HsCost cost(target, ansatz);
-        GradObjective objective = [&cost](const std::vector<double> &x,
-                                          std::vector<double> *grad) {
-            return cost.evaluate(x, grad);
-        };
-
-        std::vector<double> x0(static_cast<size_t>(n_params));
-        if (idx == 0 && warm_start) {
-            QUEST_ASSERT(warm_start->size() <= x0.size(),
-                         "warm start larger than parameter vector");
-            std::copy(warm_start->begin(), warm_start->end(), x0.begin());
-            // Trailing new parameters remain zero (identity-ish U3s).
-        } else {
-            for (double &v : x0)
-                v = streams[i].uniform(-pi, pi);
-        }
-
-        LbfgsResult r =
-            lbfgsMinimize(objective, std::move(x0), lbfgsOptions);
-        const bool reached = r.value <= options.goal;
-        results[i] = std::move(r);
-        computed[i] = 1;
-        if (reached) {
-            int cur = stop_at.load(std::memory_order_relaxed);
-            while (idx < cur &&
-                   !stop_at.compare_exchange_weak(
-                       cur, idx, std::memory_order_release,
-                       std::memory_order_relaxed)) {
-            }
-        }
-    };
-
-    // The batched SIMD engine evaluates all starts lane-lockstep on
-    // the calling thread; its per-lane results are bit-identical to
-    // run_start's, so the shared reduction below selects the same
-    // winner either way. The scalar paths stay as written: they are
-    // the determinism-test reference and the QUEST_SIMD=off runtime
-    // fallback.
-    if (options.engine == InstantiaterEngine::Auto && n_starts > 1 &&
-        kern::batch::batchEngineEnabled()) {
-        synth::runBatchedMultistart(target, ansatz, streams, lbfgsOptions,
-                                    options, warm_start, results, computed);
-    } else if (options.pool && n_starts > 1) {
-        parallel_counter.add(static_cast<uint64_t>(n_starts));
-        options.pool->parallelFor(static_cast<size_t>(n_starts),
-                                  run_start, options.budget.cancel);
-    } else {
-        for (int i = 0; i < n_starts; ++i) {
-            run_start(static_cast<size_t>(i));
-            if (stop_at.load(std::memory_order_relaxed) <= i)
-                break;
-            if (options.budget.exhausted())
-                break;
-        }
-    }
+    synth::runBatchedMultistart(target, ansatz, streams, lbfgsOptions,
+                                options, warm_start, results, computed);
 
     // Serial-order best-of reduction: walk starts in index order,
     // keep the first strict improvement, stop at the first start that
-    // reached the goal — exactly the serial loop's selection, so the
-    // outcome is independent of which starts ran where (or whether
-    // extra starts past the goal were computed and discarded).
+    // reached the goal — exactly a serial loop's selection, so the
+    // outcome is independent of which starts ran in which lane (or
+    // whether extra starts past the goal were computed and
+    // discarded).
     InstantiationResult best;
     best.distance = 1.0;
     double best_value = 2.0;

@@ -3,12 +3,13 @@
  * Multi-start instantiation: optimize an ansatz's angles against a
  * target unitary from several starting points and keep the best.
  *
- * Multistarts are independent, so they can run in parallel on a
- * cooperative ThreadPool (InstantiaterOptions::pool). Determinism is
- * preserved by construction: every start gets its own RNG stream,
- * split serially before any task runs, and the best-of reduction
- * replays the serial order's selection (including the first-to-goal
- * early stop), so the result is bit-identical at any thread count.
+ * Multistarts are independent, so they run lane-lockstep through the
+ * batched cost on the calling thread (synth/batch/
+ * batch_instantiate.hh). Determinism is preserved by construction:
+ * every start gets its own RNG stream, split serially up front, each
+ * start's iterates do not depend on which lane or lane count
+ * evaluated it, and the best-of reduction replays the serial order's
+ * selection (including the first-to-goal early stop).
  */
 
 #ifndef QUEST_SYNTH_INSTANTIATER_HH
@@ -26,43 +27,12 @@
 
 namespace quest {
 
-class ThreadPool;
-
-/**
- * Which cost/optimizer engine instantiate() uses.
- *
- * Auto picks the batched SIMD engine (synth/batch/) whenever it is
- * runtime-enabled and there are at least two multistarts; Scalar
- * forces the classic one-start-at-a-time path. The two produce
- * bit-identical results — Scalar exists as the determinism-test
- * reference and for diagnosing the batched engine, not because the
- * outputs differ.
- */
-enum class InstantiaterEngine
-{
-    Auto,
-    Scalar,
-};
-
 /** Instantiation settings. */
 struct InstantiaterOptions
 {
     int multistarts = 4;        //!< random restarts per call
     LbfgsOptions lbfgs;
     double goal = 0.0;          //!< stop restarts early below this cost
-
-    /** Engine selection (see InstantiaterEngine). */
-    InstantiaterEngine engine = InstantiaterEngine::Auto;
-
-    /**
-     * Worker pool for parallel multistarts (not owned; nullptr runs
-     * them serially). The pool's parallelFor is cooperative, so the
-     * synthesizer can hand its own shared pool down here even while
-     * calling instantiate() from inside that pool's tasks. Results
-     * are bit-identical to the serial order regardless of the thread
-     * count.
-     */
-    ThreadPool *pool = nullptr;
 
     /**
      * Deadline/cancellation for the whole call, merged into the

@@ -2,11 +2,19 @@
  * @file
  * Limited-memory BFGS minimizer with backtracking line search: the
  * numerical-optimization engine behind circuit instantiation.
+ *
+ * The minimizer is an inverted-control state machine (LbfgsMachine):
+ * it exposes the next point it wants evaluated and consumes the
+ * objective value and gradient there. That lets the multistart
+ * driver step many runs in lane lockstep through one batched cost
+ * evaluation per tick; lbfgsMinimize() is the same machine driven by
+ * a callable objective.
  */
 
 #ifndef QUEST_SYNTH_LBFGS_HH
 #define QUEST_SYNTH_LBFGS_HH
 
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -48,6 +56,73 @@ struct LbfgsResult
 
     /** Why the loop quit early, if the budget fired. */
     resilience::StopReason stopped = resilience::StopReason::None;
+};
+
+/** One minimization in progress. */
+class LbfgsMachine
+{
+  public:
+    LbfgsMachine(std::vector<double> x0, const LbfgsOptions &options);
+
+    /** True once the run has terminated; queryPoint() is then
+     *  invalid and takeResult() is ready. */
+    bool done() const { return phase == Phase::Finished; }
+
+    /** The point to evaluate next (valid while !done()). */
+    const std::vector<double> &queryPoint() const;
+
+    /**
+     * Deliver the objective value and gradient at queryPoint().
+     * @p grad is swapped out (its post-call contents are
+     * unspecified); the caller's buffer is reused round-robin.
+     */
+    void consume(double f, std::vector<double> &grad);
+
+    /**
+     * The finished result (valid once done()). Flushes the run's
+     * lbfgs.* metrics, so take each result exactly once; a run
+     * abandoned before it finished is never counted.
+     */
+    LbfgsResult takeResult();
+
+    /** Objective evaluations consumed so far. */
+    int evaluations() const { return evals; }
+
+  private:
+    enum class Phase
+    {
+        AwaitInitial,  //!< waiting for f/grad at the start point
+        AwaitTrial,    //!< waiting for f/grad at a line-search trial
+        Finished,
+    };
+
+    struct Pair
+    {
+        std::vector<double> s;
+        std::vector<double> y;
+        double rho;
+    };
+
+    void beginIteration();
+    void proposeTrial();
+    void finishWithValue();
+
+    LbfgsOptions options;
+    LbfgsResult result;
+    Phase phase = Phase::AwaitInitial;
+    size_t n = 0;
+    int evals = 0;
+    int iter = 0;
+
+    double f = 0.0;
+    std::vector<double> grad;
+    std::deque<Pair> history;
+    std::vector<double> direction, x_new, grad_new, alpha_buf;
+
+    // Line-search state.
+    double step = 1.0;
+    double dir_deriv = 0.0;
+    int ls = 0;
 };
 
 /** Minimize an unconstrained smooth objective from @p x0. */

@@ -32,18 +32,19 @@ const CpuFeatures &cpuFeatures();
 /**
  * Parsed value of the QUEST_SIMD environment variable, read once.
  *
- *   off     — disable the batched engine entirely (classic scalar
- *             instantiation path only)
- *   scalar  — batched engine with the portable scalar-lane kernels
+ *   scalar  — the portable scalar-lane kernel table (no SIMD);
+ *             off, 0 and none are synonyms
  *   avx2    — cap the dispatch at AVX2
  *   avx512  — request AVX-512 (falls back if the host lacks it)
  *
- * Unset or unrecognized values mean None: dispatch on cpuFeatures().
+ * Every value runs the same instantiation engine; only the kernel
+ * table serving its multistart batches changes, and every table
+ * yields bit-identical results. Unset or unrecognized values mean
+ * None: dispatch on cpuFeatures().
  */
 enum class SimdOverride
 {
     None,
-    Off,
     Scalar,
     Avx2,
     Avx512,

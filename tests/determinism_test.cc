@@ -9,18 +9,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
 #include "algos/algorithms.hh"
 #include "anneal/dual_annealing.hh"
+#include "dense_ansatz.hh"
 #include "ir/qasm.hh"
 #include "quest/pipeline.hh"
+#include "synth/batch/batched_hs_cost.hh"
 #include "synth/instantiater.hh"
-#include "resilience/thread_pool.hh"
+#include "synth/lbfgs.hh"
 
 namespace quest {
 namespace {
+
+constexpr double pi = std::numbers::pi;
 
 QuestConfig
 tinyConfig()
@@ -127,83 +132,76 @@ TEST(Determinism, SeedChangesTheRun)
 /** An ansatz-generated target, so the instantiation goal is reachable
  *  and the first-to-goal early stop actually triggers. */
 Matrix
-reachableTarget(Ansatz &a, std::vector<double> *truth_out = nullptr)
+reachableTarget(Ansatz &a)
 {
-    constexpr double pi = std::numbers::pi;
     Rng rng(21);
     std::vector<double> truth(a.paramCount());
     for (double &v : truth)
         v = rng.uniform(-pi, pi);
-    if (truth_out)
-        *truth_out = truth;
-    return a.unitary(truth);
+    return denseUnitary(a, truth);
 }
 
-/** instantiate() with the given pool (nullptr = serial path) and
- *  engine. Engine::Scalar pins the classic per-start path; Auto lets
- *  the batched SIMD engine claim the run when it is enabled. */
+/** instantiate() with a fixed seed and iteration cap. */
 InstantiationResult
-runInstantiation(const Matrix &target, const Ansatz &a, ThreadPool *pool,
-                 double goal, InstantiaterEngine engine,
+runInstantiation(const Matrix &target, const Ansatz &a, double goal,
                  int multistarts = 6)
 {
     InstantiaterOptions opts;
     opts.multistarts = multistarts;
     opts.lbfgs.maxIterations = 200;
     opts.goal = goal;
-    opts.pool = pool;
-    opts.engine = engine;
     Rng rng(42);
     return instantiate(target, a, rng, opts);
 }
 
-TEST(Determinism, ParallelMultistartMatchesSerialWithEarlyStop)
+/**
+ * The serial reference for runInstantiation: each start driven alone
+ * through the 1-lane cost, in index order, from the same splitN
+ * streams, keeping the first strict improvement and stopping at the
+ * first start that reaches the goal.
+ */
+InstantiationResult
+serialReference(const Matrix &target, const Ansatz &a, double goal,
+                int multistarts = 6)
 {
-    Ansatz a = Ansatz::initialLayer(2);
-    a.addLayer(0, 1);
-    a.addLayer(1, 0);
-    const Matrix target = reachableTarget(a);
+    Rng rng(42);
+    std::vector<Rng> streams =
+        rng.splitN(static_cast<size_t>(multistarts));
+    synth::BatchedHsCost<1> cost(target, a);
+    const GradObjective objective = [&cost](const std::vector<double> &x,
+                                            std::vector<double> *grad) {
+        return cost.evaluate(x, *grad);
+    };
+    LbfgsOptions lbfgs;
+    lbfgs.maxIterations = 200;
 
-    // goal 1e-10 on the cost is reachable (the target is in the
-    // ansatz family), so some start triggers the early stop and the
-    // skip/reduction logic is exercised, not just the happy path.
-    const InstantiationResult serial = runInstantiation(
-        target, a, nullptr, 1e-10, InstantiaterEngine::Scalar);
-    EXPECT_LT(serial.distance, 1e-4);
-
-    // Worker counts 0/1/7 = thread counts 1/2/8 (caller included).
-    for (unsigned workers : {0u, 1u, 7u}) {
-        ThreadPool pool(workers);
-        const InstantiationResult r = runInstantiation(
-            target, a, &pool, 1e-10, InstantiaterEngine::Scalar);
-        EXPECT_EQ(r.distance, serial.distance) << workers << " workers";
-        ASSERT_EQ(r.params.size(), serial.params.size());
-        for (size_t i = 0; i < r.params.size(); ++i)
-            EXPECT_EQ(r.params[i], serial.params[i])
-                << workers << " workers, param " << i;
+    InstantiationResult best;
+    double best_value = 2.0;
+    for (Rng &stream : streams) {
+        std::vector<double> x0(static_cast<size_t>(a.paramCount()));
+        for (double &v : x0)
+            v = stream.uniform(-pi, pi);
+        LbfgsResult r = lbfgsMinimize(objective, std::move(x0), lbfgs);
+        if (r.value < best_value) {
+            best_value = r.value;
+            best.params = std::move(r.x);
+            best.distance = std::sqrt(std::max(0.0, best_value));
+        }
+        if (best_value <= goal)
+            break;
     }
+    return best;
 }
 
-TEST(Determinism, ParallelMultistartMatchesSerialWithoutEarlyStop)
+/** Bitwise equality of distance and every parameter. */
+void
+expectSameResult(const InstantiationResult &got,
+                 const InstantiationResult &want)
 {
-    Ansatz a = Ansatz::initialLayer(2);
-    a.addLayer(0, 1);
-    const Matrix target = reachableTarget(a);
-
-    // goal 0 is unreachable: every start runs to completion and the
-    // reduction walks the full results array.
-    const InstantiationResult serial = runInstantiation(
-        target, a, nullptr, 0.0, InstantiaterEngine::Scalar);
-    for (unsigned workers : {1u, 7u}) {
-        ThreadPool pool(workers);
-        const InstantiationResult r = runInstantiation(
-            target, a, &pool, 0.0, InstantiaterEngine::Scalar);
-        EXPECT_EQ(r.distance, serial.distance) << workers << " workers";
-        ASSERT_EQ(r.params.size(), serial.params.size());
-        for (size_t i = 0; i < r.params.size(); ++i)
-            EXPECT_EQ(r.params[i], serial.params[i])
-                << workers << " workers, param " << i;
-    }
+    EXPECT_EQ(got.distance, want.distance);
+    ASSERT_EQ(got.params.size(), want.params.size());
+    for (size_t i = 0; i < got.params.size(); ++i)
+        EXPECT_EQ(got.params[i], want.params[i]) << "param " << i;
 }
 
 TEST(Determinism, BatchedEngineMatchesScalarSerialWithEarlyStop)
@@ -213,33 +211,14 @@ TEST(Determinism, BatchedEngineMatchesScalarSerialWithEarlyStop)
     a.addLayer(1, 0);
     const Matrix target = reachableTarget(a);
 
-    // The reference is the classic serial scalar engine; the batched
-    // SIMD engine (engine = Auto, when enabled at runtime) must match
-    // it bit for bit, including the first-to-goal early stop — and
-    // regardless of any thread pool handed in, since the batched
-    // driver runs lane-lockstep on the calling thread.
-    const InstantiationResult scalar = runInstantiation(
-        target, a, nullptr, 1e-10, InstantiaterEngine::Scalar);
-    EXPECT_LT(scalar.distance, 1e-4);
-
-    const InstantiationResult batched = runInstantiation(
-        target, a, nullptr, 1e-10, InstantiaterEngine::Auto);
-    EXPECT_EQ(batched.distance, scalar.distance);
-    ASSERT_EQ(batched.params.size(), scalar.params.size());
-    for (size_t i = 0; i < batched.params.size(); ++i)
-        EXPECT_EQ(batched.params[i], scalar.params[i]) << "param " << i;
-
-    // Worker counts 0/1/7 = thread counts 1/2/8 (caller included).
-    for (unsigned workers : {0u, 1u, 7u}) {
-        ThreadPool pool(workers);
-        const InstantiationResult r = runInstantiation(
-            target, a, &pool, 1e-10, InstantiaterEngine::Auto);
-        EXPECT_EQ(r.distance, scalar.distance) << workers << " workers";
-        ASSERT_EQ(r.params.size(), scalar.params.size());
-        for (size_t i = 0; i < r.params.size(); ++i)
-            EXPECT_EQ(r.params[i], scalar.params[i])
-                << workers << " workers, param " << i;
-    }
+    // goal 1e-10 on the cost is reachable (the target is in the
+    // ansatz family), so some start triggers the early stop and the
+    // lane driver's skip logic is exercised, not just the happy path.
+    // The lane-lockstep run must match the serial one-start-at-a-time
+    // reference bit for bit.
+    const InstantiationResult serial = serialReference(target, a, 1e-10);
+    EXPECT_LT(serial.distance, 1e-4);
+    expectSameResult(runInstantiation(target, a, 1e-10), serial);
 }
 
 TEST(Determinism, BatchedEngineMatchesScalarSerialAcrossLaneRefills)
@@ -252,18 +231,8 @@ TEST(Determinism, BatchedEngineMatchesScalarSerialAcrossLaneRefills)
     // retires at least once and the refill path runs, so pending
     // starts are proven to resume on whichever lane frees up without
     // perturbing any other lane's iterates.
-    const InstantiationResult scalar = runInstantiation(
-        target, a, nullptr, 0.0, InstantiaterEngine::Scalar, 11);
-    for (unsigned workers : {0u, 7u}) {
-        ThreadPool pool(workers);
-        const InstantiationResult r = runInstantiation(
-            target, a, &pool, 0.0, InstantiaterEngine::Auto, 11);
-        EXPECT_EQ(r.distance, scalar.distance) << workers << " workers";
-        ASSERT_EQ(r.params.size(), scalar.params.size());
-        for (size_t i = 0; i < r.params.size(); ++i)
-            EXPECT_EQ(r.params[i], scalar.params[i])
-                << workers << " workers, param " << i;
-    }
+    expectSameResult(runInstantiation(target, a, 0.0, 11),
+                     serialReference(target, a, 0.0, 11));
 }
 
 TEST(Determinism, DualAnnealingSameSeed)

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -487,6 +488,22 @@ TEST(ThreadPoolCancel, MidRunCancelStopsUnclaimedIndices)
     // skipped. parallelFor itself returned (done-accounting exact).
     EXPECT_GT(ran.load(), 0);
     EXPECT_LT(ran.load(), 10000);
+}
+
+TEST(ThreadPoolCancel, TokenMayDieWhenParallelForReturns)
+{
+    // The token's owner may destroy it as soon as parallelFor
+    // returns. Helper jobs that start after the batch finished must
+    // not read it; the sanitizer builds catch a late read.
+    ThreadPool pool(3);
+    for (int round = 0; round < 200; ++round) {
+        auto token = std::make_unique<CancelToken>();
+        std::atomic<int> ran{0};
+        pool.parallelFor(
+            2, [&](size_t) { ran.fetch_add(1); }, token.get());
+        token.reset();
+        EXPECT_EQ(ran.load(), 2);
+    }
 }
 
 TEST(ThreadPoolCancel, NullTokenRunsEverything)

@@ -378,6 +378,13 @@ TEST(ServiceHardening, TenantQuotaShedsWithRetryHint)
     heavy.tenant = "noisy";
     const SubmitReply blocker = client.submit(heavy);
     ASSERT_TRUE(blocker.accepted);
+    // The blocker holds noisy's queued share until the executor
+    // dequeues it; wait for that before queueing behind it.
+    ASSERT_TRUE(eventually(
+        [&] {
+            return client.status(blocker.jobId).state != JobState::Queued;
+        },
+        60.0));
 
     SubmitRequest tiny = tinyRequest();
     tiny.tenant = "noisy";

@@ -86,6 +86,19 @@ tinyQasm(double angle)
     return toQasm(c);
 }
 
+/**
+ * Wait until the server has taken job @p id off the queue. A test
+ * that parks a blocker on the single executor must wait for this
+ * before it submits behind the blocker: until the executor dequeues
+ * it, the blocker still occupies a queue slot.
+ */
+void
+waitUntilDequeued(QuestClient &client, uint64_t id)
+{
+    while (client.status(id).state == JobState::Queued)
+        usleep(1000);
+}
+
 /** Fast CompileOptions for test jobs. */
 CompileOptions
 tinyOptions()
@@ -530,6 +543,7 @@ TEST(ServiceEndToEnd, QueueBoundShedsLoad)
     heavy.options.maxLayers = 10;
     const SubmitReply blocker = client.submit(heavy);
     ASSERT_TRUE(blocker.accepted);
+    waitUntilDequeued(client, blocker.jobId);
 
     SubmitRequest tiny;
     tiny.options = tinyOptions();
@@ -566,8 +580,7 @@ TEST(ServiceEndToEnd, CancelRunningAndDeadlineExpiry)
     heavy.options.maxLayers = 10;
     const SubmitReply running = client.submit(heavy);
     ASSERT_TRUE(running.accepted);
-    while (client.status(running.jobId).state == JobState::Queued)
-        usleep(1000);
+    waitUntilDequeued(client, running.jobId);
     const CancelReply cancel = client.cancelJob(running.jobId);
     EXPECT_EQ(cancel.outcome, CancelOutcome::Signalled);
     const JobStatus cancelled = server.waitTerminal(running.jobId);
@@ -607,6 +620,7 @@ TEST(ServiceProperty, PriorityOrderIsDeterministic)
     heavy.options.maxLayers = 10;
     const SubmitReply blocker = client.submit(heavy);
     ASSERT_TRUE(blocker.accepted);
+    waitUntilDequeued(client, blocker.jobId);
 
     SubmitRequest tiny;
     tiny.options = tinyOptions();
@@ -667,6 +681,7 @@ TEST(ServiceProperty, CancelQueuedJobNeverRunsPipeline)
     heavy.options.maxLayers = 10;
     const SubmitReply blocker = client.submit(heavy);
     ASSERT_TRUE(blocker.accepted);
+    waitUntilDequeued(client, blocker.jobId);
 
     SubmitRequest tiny;
     tiny.options = tinyOptions();

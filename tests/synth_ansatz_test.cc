@@ -1,25 +1,40 @@
 /**
  * @file
- * Ansatz, cost-function and gradient tests. The analytic gradient is
- * cross-checked against finite differences and the slow reference
- * implementation against the fast trace-reduction path.
+ * Ansatz, cost-function and gradient tests. The dense reference
+ * (dense_ansatz.hh) is checked against the circuit and finite
+ * differences; the cost's analytic gradient (its 1-lane
+ * instantiation) against finite differences and the dense
+ * reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <numbers>
 
+#include "dense_ansatz.hh"
 #include "linalg/decompose.hh"
 #include "linalg/distance.hh"
 #include "sim/unitary_builder.hh"
 #include "synth/ansatz.hh"
-#include "synth/hs_cost.hh"
+#include "synth/batch/batched_hs_cost.hh"
 #include "util/rng.hh"
 
 namespace quest {
 namespace {
 
 constexpr double pi = std::numbers::pi;
+
+using HsCost = synth::BatchedHsCost<1>;
+
+/** The objective alone (the gradient is computed and dropped). */
+double
+costAt(HsCost &cost, const std::vector<double> &x)
+{
+    std::vector<double> grad;
+    return cost.evaluate(x, grad);
+}
 
 std::vector<double>
 randomParams(int count, Rng &rng)
@@ -62,7 +77,7 @@ TEST(Ansatz, InstantiateMatchesUnitary)
     Rng rng(3);
     Ansatz a = testAnsatz(3, 4, rng);
     auto params = randomParams(a.paramCount(), rng);
-    Matrix direct = a.unitary(params);
+    Matrix direct = denseUnitary(a, params);
     Matrix via_circuit = circuitUnitary(a.instantiate(params));
     EXPECT_TRUE(direct.approxEqual(via_circuit, 1e-10));
 }
@@ -72,7 +87,7 @@ TEST(Ansatz, UnitaryIsUnitary)
     Rng rng(5);
     Ansatz a = testAnsatz(4, 5, rng);
     auto params = randomParams(a.paramCount(), rng);
-    EXPECT_TRUE(a.unitary(params).isUnitary(1e-9));
+    EXPECT_TRUE(denseUnitary(a, params).isUnitary(1e-9));
 }
 
 TEST(Ansatz, GradientMatchesFiniteDifference)
@@ -83,15 +98,15 @@ TEST(Ansatz, GradientMatchesFiniteDifference)
 
     Matrix u;
     std::vector<Matrix> grads;
-    a.unitaryAndGradient(params, u, grads);
-    EXPECT_TRUE(u.approxEqual(a.unitary(params), 1e-12));
+    denseUnitaryAndGradient(a, params, u, grads);
+    EXPECT_TRUE(u.approxEqual(denseUnitary(a, params), 1e-12));
 
     const double h = 1e-6;
     for (int p = 0; p < a.paramCount(); ++p) {
         auto plus = params, minus = params;
         plus[p] += h;
         minus[p] -= h;
-        Matrix fd = (a.unitary(plus) - a.unitary(minus)) *
+        Matrix fd = (denseUnitary(a, plus) - denseUnitary(a, minus)) *
                     Complex(1.0 / (2.0 * h), 0.0);
         EXPECT_LT(fd.maxAbsDiff(grads[p]), 1e-7) << "param " << p;
     }
@@ -116,10 +131,11 @@ TEST(HsCost, ZeroAtExactTarget)
     Rng rng(9);
     Ansatz a = testAnsatz(2, 2, rng);
     auto params = randomParams(a.paramCount(), rng);
-    Matrix target = a.unitary(params);
+    Matrix target = denseUnitary(a, params);
     HsCost cost(target, a);
-    EXPECT_NEAR(cost.evaluate(params, nullptr), 0.0, 1e-10);
-    EXPECT_NEAR(cost.distance(params), 0.0, 1e-5);
+    const double f = costAt(cost, params);
+    EXPECT_NEAR(f, 0.0, 1e-10);
+    EXPECT_NEAR(std::sqrt(std::max(0.0, f)), 0.0, 1e-5);
 }
 
 TEST(HsCost, GlobalPhaseInvariant)
@@ -127,9 +143,9 @@ TEST(HsCost, GlobalPhaseInvariant)
     Rng rng(11);
     Ansatz a = testAnsatz(2, 2, rng);
     auto params = randomParams(a.paramCount(), rng);
-    Matrix target = a.unitary(params) * std::polar(1.0, 0.9);
+    Matrix target = denseUnitary(a, params) * std::polar(1.0, 0.9);
     HsCost cost(target, a);
-    EXPECT_NEAR(cost.evaluate(params, nullptr), 0.0, 1e-10);
+    EXPECT_NEAR(costAt(cost, params), 0.0, 1e-10);
 }
 
 TEST(HsCost, GradientMatchesFiniteDifference)
@@ -138,11 +154,11 @@ TEST(HsCost, GradientMatchesFiniteDifference)
     for (int n = 2; n <= 4; ++n) {
         Ansatz a = testAnsatz(n, 3, rng);
         auto params = randomParams(a.paramCount(), rng);
-        Matrix target = a.unitary(randomParams(a.paramCount(), rng));
+        Matrix target = denseUnitary(a, randomParams(a.paramCount(), rng));
         HsCost cost(target, a);
 
         std::vector<double> grad;
-        double f = cost.evaluate(params, &grad);
+        double f = cost.evaluate(params, grad);
         EXPECT_GE(f, -1e-12);
         EXPECT_LE(f, 1.0 + 1e-12);
 
@@ -151,8 +167,7 @@ TEST(HsCost, GradientMatchesFiniteDifference)
             auto plus = params, minus = params;
             plus[p] += h;
             minus[p] -= h;
-            double fd = (cost.evaluate(plus, nullptr) -
-                         cost.evaluate(minus, nullptr)) /
+            double fd = (costAt(cost, plus) - costAt(cost, minus)) /
                         (2.0 * h);
             EXPECT_NEAR(grad[p], fd, 1e-6)
                 << "n=" << n << " param " << p;
@@ -167,15 +182,15 @@ TEST(HsCost, FastPathMatchesReferenceGradient)
     Rng rng(15);
     Ansatz a = testAnsatz(3, 4, rng);
     auto params = randomParams(a.paramCount(), rng);
-    Matrix target = a.unitary(randomParams(a.paramCount(), rng));
+    Matrix target = denseUnitary(a, randomParams(a.paramCount(), rng));
     HsCost cost(target, a);
 
     std::vector<double> fast;
-    cost.evaluate(params, &fast);
+    cost.evaluate(params, fast);
 
     Matrix u;
     std::vector<Matrix> grads;
-    a.unitaryAndGradient(params, u, grads);
+    denseUnitaryAndGradient(a, params, u, grads);
     Complex tr = hsInnerProduct(target, u);
     const double n2 = static_cast<double>(target.rows()) *
                       static_cast<double>(target.rows());
@@ -191,10 +206,10 @@ TEST(HsCost, DistanceMatchesHsDistance)
     Rng rng(17);
     Ansatz a = testAnsatz(2, 2, rng);
     auto params = randomParams(a.paramCount(), rng);
-    Matrix target = a.unitary(randomParams(a.paramCount(), rng));
+    Matrix target = denseUnitary(a, randomParams(a.paramCount(), rng));
     HsCost cost(target, a);
-    EXPECT_NEAR(cost.distance(params),
-                hsDistance(target, a.unitary(params)), 1e-10);
+    EXPECT_NEAR(std::sqrt(std::max(0.0, costAt(cost, params))),
+                hsDistance(target, denseUnitary(a, params)), 1e-10);
 }
 
 TEST(Ansatz, RejectsBadWires)
@@ -207,7 +222,7 @@ TEST(Ansatz, RejectsBadWires)
 TEST(Ansatz, ParamCountMismatchPanics)
 {
     Ansatz a = Ansatz::initialLayer(2);
-    EXPECT_DEATH(a.unitary({0.0}), "mismatch");
+    EXPECT_DEATH(a.instantiate({0.0}), "mismatch");
 }
 
 } // namespace

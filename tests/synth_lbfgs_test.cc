@@ -5,12 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
 
-#include "synth/batch/lbfgs_machine.hh"
 #include "synth/lbfgs.hh"
 
 namespace quest {
@@ -143,55 +144,50 @@ TEST(Lbfgs, MonotoneNonIncreasing)
 }
 
 // ---------------------------------------------------------------------
-// LbfgsMachine (synth/batch/lbfgs_machine.hh) is the inverted-control
-// transcription of lbfgsMinimize that the batched engine steps in
-// lane lockstep. Fed the same objective it must visit the same points
-// and produce the SAME LbfgsResult, bit for bit — the batched
-// engine's determinism guarantee rests on this.
+// LbfgsMachine (synth/lbfgs.hh) is the one L-BFGS: lbfgsMinimize
+// drives it with a callable objective and the multistart lane driver
+// steps many machines in lockstep. Each case pins, bit for bit, the
+// outcome the loop-owning minimizer produced before it became a
+// state machine: final value, iteration count, flags, evaluation
+// count and final point. Any change to the arithmetic or the control
+// flow shows up here.
 
-struct MachineRun
+/** A recorded run: IEEE bit patterns of value and final point. */
+struct Recorded
 {
-    LbfgsResult result;
+    uint64_t value;
+    int iterations;
+    bool converged;
     int evaluations;
+    std::vector<uint64_t> x;
 };
 
-/** Drive a machine to completion with a serial objective. */
-MachineRun
-driveMachine(const GradObjective &objective, std::vector<double> x0,
-             const LbfgsOptions &options = {})
+/** Drive a machine to completion with a serial objective and require
+ *  the recorded outcome bit for bit. */
+void
+expectMachineMatchesMinimize(const GradObjective &objective,
+                             std::vector<double> x0,
+                             const Recorded &want,
+                             const LbfgsOptions &options = {})
 {
-    synth::LbfgsMachine machine(std::move(x0), options);
+    LbfgsMachine machine(std::move(x0), options);
     std::vector<double> grad;
     while (!machine.done()) {
         const double f = objective(machine.queryPoint(), &grad);
         machine.consume(f, grad);
     }
-    return {machine.takeResult(), machine.evaluations()};
-}
+    const int evaluations = machine.evaluations();
+    const LbfgsResult r = machine.takeResult();
 
-/** Run both engines and require bitwise-identical outcomes. */
-void
-expectMachineMatchesMinimize(const GradObjective &objective,
-                             const std::vector<double> &x0,
-                             const LbfgsOptions &options = {})
-{
-    int serial_evals = 0;
-    GradObjective counted = [&](const std::vector<double> &x,
-                                std::vector<double> *g) {
-        ++serial_evals;
-        return objective(x, g);
-    };
-    const LbfgsResult serial = lbfgsMinimize(counted, x0, options);
-    const MachineRun machine = driveMachine(objective, x0, options);
-
-    EXPECT_EQ(machine.result.value, serial.value);
-    EXPECT_EQ(machine.result.iterations, serial.iterations);
-    EXPECT_EQ(machine.result.converged, serial.converged);
-    EXPECT_EQ(machine.result.stopped, serial.stopped);
-    EXPECT_EQ(machine.evaluations, serial_evals);
-    ASSERT_EQ(machine.result.x.size(), serial.x.size());
-    for (size_t i = 0; i < serial.x.size(); ++i)
-        EXPECT_EQ(machine.result.x[i], serial.x[i]) << "i=" << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.value), want.value) << r.value;
+    EXPECT_EQ(r.iterations, want.iterations);
+    EXPECT_EQ(r.converged, want.converged);
+    EXPECT_EQ(r.stopped, resilience::StopReason::None);
+    EXPECT_EQ(evaluations, want.evaluations);
+    ASSERT_EQ(r.x.size(), want.x.size());
+    for (size_t i = 0; i < r.x.size(); ++i)
+        EXPECT_EQ(std::bit_cast<uint64_t>(r.x[i]), want.x[i])
+            << "i=" << i << " x=" << r.x[i];
 }
 
 TEST(LbfgsMachine, MatchesMinimizeOnQuadraticBowl)
@@ -208,7 +204,10 @@ TEST(LbfgsMachine, MatchesMinimizeOnQuadraticBowl)
         }
         return v;
     };
-    expectMachineMatchesMinimize(f, {5.0, -3.0, 0.0});
+    expectMachineMatchesMinimize(
+        f, {5.0, -3.0, 0.0},
+        {0x0000000000000000, 2, true, 3,
+         {0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000}});
 }
 
 TEST(LbfgsMachine, MatchesMinimizeOnIllConditionedQuadratic)
@@ -219,14 +218,16 @@ TEST(LbfgsMachine, MatchesMinimizeOnIllConditionedQuadratic)
             *g = {2.0 * x[0], 2000.0 * x[1]};
         return x[0] * x[0] + 1000.0 * x[1] * x[1];
     };
-    expectMachineMatchesMinimize(f, {3.0, 1.0});
+    expectMachineMatchesMinimize(
+        f, {3.0, 1.0},
+        {0x3a72c61a2cba8cc3, 5, true, 10,
+         {0xbd31411352c72000, 0xbcaa79bf1ca00000}});
 }
 
 TEST(LbfgsMachine, MatchesMinimizeOnRosenbrock)
 {
-    // Long run: hundreds of iterations, many line-search rejections
-    // and curvature updates — exercises every branch of the
-    // transcription.
+    // Long run: many line-search rejections and curvature updates —
+    // exercises every branch of the machine.
     GradObjective f = [](const std::vector<double> &x,
                          std::vector<double> *g) {
         double a = 1.0 - x[0];
@@ -237,7 +238,11 @@ TEST(LbfgsMachine, MatchesMinimizeOnRosenbrock)
     };
     LbfgsOptions opts;
     opts.maxIterations = 2000;
-    expectMachineMatchesMinimize(f, {-1.2, 1.0}, opts);
+    expectMachineMatchesMinimize(
+        f, {-1.2, 1.0},
+        {0x3be193e320ea8800, 44, true, 55,
+         {0x3fefffffffee6097, 0x3fefffffffdb2ada}},
+        opts);
 }
 
 TEST(LbfgsMachine, MatchesMinimizeOnTrigLandscape)
@@ -248,7 +253,10 @@ TEST(LbfgsMachine, MatchesMinimizeOnTrigLandscape)
             *g = {std::sin(x[0]), std::sin(x[1])};
         return -std::cos(x[0]) - std::cos(x[1]);
     };
-    expectMachineMatchesMinimize(f, {0.3, -0.4});
+    expectMachineMatchesMinimize(
+        f, {0.3, -0.4},
+        {0xc000000000000000, 4, true, 5,
+         {0x3ddd5865f776a800, 0x3db7f1fd3ee0d000}});
 }
 
 TEST(LbfgsMachine, MatchesMinimizeAtTheMinimum)
@@ -259,14 +267,17 @@ TEST(LbfgsMachine, MatchesMinimizeAtTheMinimum)
             *g = {2.0 * x[0]};
         return x[0] * x[0];
     };
-    expectMachineMatchesMinimize(f, {0.0});
+    expectMachineMatchesMinimize(f, {0.0},
+                                 {0x0000000000000000, 1, true, 1,
+                                  {0x0000000000000000}});
 }
 
 TEST(LbfgsMachine, MatchesMinimizeOnEmptyParameterVector)
 {
     GradObjective f = [](const std::vector<double> &,
                          std::vector<double> *) { return 7.0; };
-    expectMachineMatchesMinimize(f, {});
+    expectMachineMatchesMinimize(f, {},
+                                 {0x401c000000000000, 0, true, 1, {}});
 }
 
 TEST(LbfgsMachine, MatchesMinimizeUnderIterationCap)
@@ -279,24 +290,34 @@ TEST(LbfgsMachine, MatchesMinimizeUnderIterationCap)
             *g = {-2.0 * a - 400.0 * x[0] * b, 200.0 * b};
         return a * a + 100.0 * b * b;
     };
-    for (int cap : {0, 1, 3}) {
+    const std::pair<int, Recorded> caps[] = {
+        {0, {0x4038333333333332, 0, false, 1,
+             {0xbff3333333333333, 0x3ff0000000000000}}},
+        {1, {0x40286cde49af35d4, 1, false, 6,
+             {0xbfed15aec4ca7072, 0x3ff1e6ad50007b56}}},
+        {3, {0x401075cc8e640201, 3, false, 8,
+             {0xbff074d4f1874ccc, 0x3ff0e84eea605062}}},
+    };
+    for (const auto &[cap, want] : caps) {
         LbfgsOptions opts;
         opts.maxIterations = cap;
-        expectMachineMatchesMinimize(f, {-1.2, 1.0}, opts);
+        expectMachineMatchesMinimize(f, {-1.2, 1.0}, want, opts);
     }
 }
 
 TEST(LbfgsMachine, MatchesMinimizeOnNonFiniteObjective)
 {
-    // A diverged start: both engines must report value = inf without
-    // touching the point.
+    // A diverged start reports value = inf without touching the
+    // point.
     GradObjective f = [](const std::vector<double> &x,
                          std::vector<double> *g) {
         if (g)
             g->assign(x.size(), 0.0);
         return std::numeric_limits<double>::quiet_NaN();
     };
-    expectMachineMatchesMinimize(f, {1.0, 2.0});
+    expectMachineMatchesMinimize(f, {1.0, 2.0},
+                                 {0x7ff0000000000000, 0, false, 1,
+                                  {0x3ff0000000000000, 0x4000000000000000}});
 }
 
 } // namespace

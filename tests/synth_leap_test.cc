@@ -9,6 +9,7 @@
 #include <numbers>
 
 #include "algos/algorithms.hh"
+#include "dense_ansatz.hh"
 #include "ir/lower.hh"
 #include "linalg/decompose.hh"
 #include "linalg/distance.hh"
@@ -41,7 +42,7 @@ TEST(Instantiater, RecoversKnownAnsatzParams)
     std::vector<double> truth(a.paramCount());
     for (double &v : truth)
         v = rng.uniform(-pi, pi);
-    Matrix target = a.unitary(truth);
+    Matrix target = denseUnitary(a, truth);
 
     InstantiaterOptions opts;
     opts.multistarts = 4;
@@ -56,7 +57,7 @@ TEST(Instantiater, WarmStartAtOptimumStays)
     std::vector<double> truth(a.paramCount());
     for (double &v : truth)
         v = rng.uniform(-pi, pi);
-    Matrix target = a.unitary(truth);
+    Matrix target = denseUnitary(a, truth);
 
     InstantiaterOptions opts;
     opts.multistarts = 1;
