@@ -5,9 +5,10 @@
  * gradient evaluation, instantiation and annealing steps.
  *
  * Besides the google-benchmark suite, main() measures instantiation
- * throughput directly and archives it as BENCH_instantiation.json
- * (via bench_common's writeBenchJson) so CI keeps machine-readable
- * records of the hot-path numbers next to the figure harnesses.
+ * throughput and Full-mode certify latency directly and archives them
+ * as BENCH_instantiation.json and BENCH_certify.json (via
+ * bench_common's writeBenchJson) so CI keeps machine-readable records
+ * of the hot-path numbers next to the figure harnesses.
  */
 
 #include <benchmark/benchmark.h>
@@ -23,6 +24,8 @@
 #include "bench_common.hh"
 #include "ir/lower.hh"
 #include "linalg/distance.hh"
+#include "partition/scan_partitioner.hh"
+#include "resilience/thread_pool.hh"
 #include "sim/statevector.hh"
 #include "sim/unitary_builder.hh"
 #include "synth/batch/batched_hs_cost.hh"
@@ -352,6 +355,115 @@ instantiationTable()
     return table;
 }
 
+/**
+ * A Full-mode certify workload on @p n qubits: the 4-qubit blocks of
+ * a TFIM circuit, four candidates per block (the block itself and
+ * three copies with a small extra rz, so every candidate unitary
+ * differs), and @p samples samples choosing among them at random.
+ */
+struct CertifyFixture
+{
+    Circuit original;
+    std::vector<Block> blocks;
+    std::vector<std::vector<Matrix>> unitaries;  //!< [block][candidate]
+    std::vector<Circuit> sampleCircuits;
+    std::vector<std::vector<int>> choices;
+
+    CertifyFixture(int n, int samples)
+        : original(lowerToNative(algos::tfim(n, 3)).withoutPseudoOps()),
+          blocks(ScanPartitioner(4).partition(original)),
+          unitaries(blocks.size())
+    {
+        std::vector<std::vector<Circuit>> candidates(blocks.size());
+        for (size_t b = 0; b < blocks.size(); ++b) {
+            for (int k = 0; k < 4; ++k) {
+                Circuit c = blocks[b].circuit;
+                if (k > 0)
+                    c.append(Gate::rz(0, 0.01 * k));
+                unitaries[b].push_back(circuitUnitary(c));
+                candidates[b].push_back(std::move(c));
+            }
+        }
+        Rng rng(11);
+        for (int s = 0; s < samples; ++s) {
+            std::vector<int> choice(blocks.size());
+            std::vector<Block> chosen = blocks;
+            for (size_t b = 0; b < blocks.size(); ++b) {
+                choice[b] = static_cast<int>(rng.uniformInt(4));
+                chosen[b].circuit = candidates[b][choice[b]];
+            }
+            sampleCircuits.push_back(assembleBlocks(chosen, n));
+            choices.push_back(std::move(choice));
+        }
+    }
+
+    /** The pre-block certify: one dense gate-by-gate unitary for the
+     *  original and one per sample. */
+    double
+    certifyGateLevel() const
+    {
+        const Matrix original_u = buildUnitary(original);
+        double worst = 0.0;
+        for (const Circuit &c : sampleCircuits)
+            worst = std::max(worst, hsDistance(original_u, buildUnitary(c)));
+        return worst;
+    }
+
+    /** The pipeline's certify: traces from the block unitaries. */
+    double
+    certifyBlockLevel(ThreadPool &pool) const
+    {
+        FactorProduct reference(blocks.size());
+        for (size_t b = 0; b < blocks.size(); ++b)
+            reference[b] = {&unitaries[b][0], &blocks[b].qubits};
+        std::vector<FactorProduct> products(choices.size(), reference);
+        for (size_t s = 0; s < choices.size(); ++s)
+            for (size_t b = 0; b < blocks.size(); ++b)
+                products[s][b].unitary = &unitaries[b][choices[s][b]];
+        const int n = original.numQubits();
+        double worst = 0.0;
+        for (const Complex &trace :
+             productTraces(n, reference, products, pool))
+            worst = std::max(worst,
+                             hsDistanceFromTrace(trace, size_t{1} << n));
+        return worst;
+    }
+};
+
+/**
+ * Full-mode certify latency archived as BENCH_certify.json: the
+ * gate-level dense builds ("certify_gate_nN") against the block-level
+ * tile traces ("certify_block_nN") on the same fixture, both on one
+ * thread so the rows compare work, not parallelism.
+ */
+Table
+certifyTable()
+{
+    const bool smoke = quest::bench::smokeMode();
+    const int samples = smoke ? 4 : 16;
+    ThreadPool serial(0);
+    Table table({"case", "engine", "metric", "value"});
+    for (int n : {6, 8, 10}) {
+        const CertifyFixture fixture(n, samples);
+        const std::string suffix = "_n" + std::to_string(n);
+        const int reps = n == 10 ? 1 : (smoke ? 2 : 5);
+        table.addRow({"certify_gate" + suffix, "serial", "ms_per_call",
+                      Table::num(msPerCall(reps, [&] {
+                                     benchmark::DoNotOptimize(
+                                         fixture.certifyGateLevel());
+                                 }),
+                                 3)});
+        table.addRow({"certify_block" + suffix, "serial", "ms_per_call",
+                      Table::num(msPerCall(reps, [&] {
+                                     benchmark::DoNotOptimize(
+                                         fixture.certifyBlockLevel(
+                                             serial));
+                                 }),
+                                 3)});
+    }
+    return table;
+}
+
 } // namespace
 
 int
@@ -364,5 +476,6 @@ main(int argc, char **argv)
     benchmark::Shutdown();
 
     quest::bench::finishBench("instantiation", instantiationTable());
+    quest::bench::finishBench("certify", certifyTable());
     return 0;
 }

@@ -129,13 +129,10 @@ runDeterminismRule(SourceFile &f, std::vector<Finding> &out)
 namespace {
 
 /** Calls that mark a loop as "does kernel work per iteration". */
-constexpr std::array<sv, 16> kKernelCalls = {
-    "instantiate",     "instantiateParallel", "evaluate",
-    "evaluateWithGradient", "synthesize",     "synthesizeBlock",
-    "synthesizeExact", "applyCircuit",        "applyGate",
-    "buildUnitary",    "simulate",            "minimize",
-    "dualAnnealing",   "outputDistance",      "unitary",
-    "unitaryAndGradient"};
+constexpr std::array<sv, 12> kKernelCalls = {
+    "instantiate",    "evaluate",     "synthesize",   "synthesizeExact",
+    "applyCircuit",   "applyGate",    "buildUnitary", "productTraces",
+    "simulate",       "minimize",     "dualAnnealing", "unitary"};
 
 /** Budget polls (as calls). */
 constexpr std::array<sv, 6> kPollCalls = {

@@ -209,7 +209,7 @@ QuestPipeline::run(const Circuit &circuit) const
     }
 
     QuestResult result;
-    Stopwatch partition_watch, synth_watch, anneal_watch;
+    Stopwatch partition_watch, synth_watch, anneal_watch, certify_watch;
 
     // The run-level interruption context: armed only when the caller
     // configured a timeout or a cancel token, in which case every
@@ -265,6 +265,26 @@ QuestPipeline::run(const Circuit &circuit) const
     }
     checkRunBudget(cfg, runBudget, "after STEP 1");
 
+    // One cooperative pool is the whole pipeline's thread budget: its
+    // parallelFor claims indices from a shared cursor and the caller
+    // participates, so the nested within-synthesizer parallelFor
+    // reuses the same threads instead of oversubscribing (budget - 1
+    // workers + this thread = budget busy threads total). STEP 2 and
+    // certify both run on it. An injected cfg.pool extends the same
+    // sharing across concurrent pipeline runs: each run's parallelFor
+    // has its own batch cursor, so runs interleave safely on one pool.
+    const unsigned budget = std::max(
+        1u, cfg.threads == 0 ? ThreadPool::hardwareConcurrency()
+                             : cfg.threads);
+    std::unique_ptr<ThreadPool> owned_pool;
+    if (!cfg.pool)
+        owned_pool = std::make_unique<ThreadPool>(budget - 1);
+    ThreadPool &pool = cfg.pool ? *cfg.pool : *owned_pool;
+
+    // approx_unitaries[b][k]: the unitary of blockApprox[b][k], built
+    // once in STEP 2 for the similarity matrix and reused by certify.
+    std::vector<std::vector<Matrix>> approx_unitaries(num_blocks);
+
     // ---- STEP 2: approximate synthesis per block (parallel, with a
     // cache so identical block unitaries synthesize once). ------------
     {
@@ -297,23 +317,6 @@ QuestPipeline::run(const Circuit &circuit) const
             for (size_t b = 0; b < num_blocks; ++b)
                 if (canonical[b] == b)
                     work.push_back(b);
-
-            // One cooperative pool is the whole pipeline's thread
-            // budget: its parallelFor claims indices from a shared
-            // cursor and the caller participates, so the nested
-            // within-synthesizer parallelFor reuses the same threads
-            // instead of oversubscribing (budget - 1 workers + this
-            // thread = budget busy threads total). An injected
-            // cfg.pool extends the same sharing across concurrent
-            // pipeline runs: each run's parallelFor has its own
-            // batch cursor, so runs interleave safely on one pool.
-            const unsigned budget = std::max(
-                1u, cfg.threads == 0 ? ThreadPool::hardwareConcurrency()
-                                     : cfg.threads);
-            std::unique_ptr<ThreadPool> owned;
-            if (!cfg.pool)
-                owned = std::make_unique<ThreadPool>(budget - 1);
-            ThreadPool &pool = cfg.pool ? *cfg.pool : *owned;
 
             SynthConfig synth_cfg = cfg.synth;
             if (cfg.verify)
@@ -378,7 +381,6 @@ QuestPipeline::run(const Circuit &circuit) const
         checkRunBudget(cfg, runBudget, "during STEP 2");
 
         result.blockApprox.resize(num_blocks);
-        std::vector<std::vector<Matrix>> approx_unitaries(num_blocks);
         for (size_t b = 0; b < num_blocks; ++b) {
             const SynthOutput &out = outputs[canonical[b]];
             auto &list = result.blockApprox[b];
@@ -603,6 +605,7 @@ QuestPipeline::run(const Circuit &circuit) const
     // nothing below this comment may touch src/sim in that mode).
     {
         QUEST_TRACE_SCOPE("quest.certify");
+        ScopedTimer timer(certify_watch);
         result.selectionMode = cfg.selectionMode;
         BoundCertificate &cert = result.certificate;
         cert.mode = cfg.selectionMode;
@@ -617,33 +620,50 @@ QuestPipeline::run(const Circuit &circuit) const
         cert.outputEstimate = outputDistanceEstimate(cert.maxBound);
 
         if (cfg.selectionMode == SelectionMode::Full) {
-            const Matrix original_u = buildUnitary(result.original);
-            for (ApproxSample &s : result.samples) {
-                if (runBudget.exhausted()) {
-                    // Degrade: remaining samples stay unmeasured (the
-                    // bound certificate above still covers them).
-                    checkRunBudget(cfg, runBudget, "during certify");
-                    break;
-                }
-                s.measuredDistance =
-                    hsDistance(original_u, buildUnitary(s.circuit));
+            // Every operator is a product of block unitaries STEP 2
+            // already built: index 0 of each block for the original,
+            // the chosen approximation for each sample.
+            FactorProduct original_u(num_blocks);
+            for (size_t b = 0; b < num_blocks; ++b)
+                original_u[b] = {&approx_unitaries[b][0],
+                                 &result.blocks[b].qubits};
+            std::vector<FactorProduct> sample_us(result.samples.size(),
+                                                 original_u);
+            for (size_t s = 0; s < result.samples.size(); ++s)
+                for (size_t b = 0; b < num_blocks; ++b)
+                    sample_us[s][b].unitary =
+                        &approx_unitaries[b][result.samples[s].choice[b]];
+
+            const std::vector<Complex> traces =
+                productTraces(result.original.numQubits(), original_u,
+                              sample_us, pool, runBudget);
+            const size_t dim = size_t{1} << result.original.numQubits();
+            for (size_t s = 0; s < traces.size(); ++s) {
+                ApproxSample &sample = result.samples[s];
+                sample.measuredDistance =
+                    hsDistanceFromTrace(traces[s], dim);
                 cert.measuredSamples++;
                 cert.maxMeasured =
-                    std::max(cert.maxMeasured, s.measuredDistance);
+                    std::max(cert.maxMeasured, sample.measuredDistance);
                 if (cfg.verify &&
-                    s.measuredDistance > s.distanceBound + 1e-6) {
+                    sample.measuredDistance > sample.distanceBound + 1e-6) {
                     QUEST_PANIC(
                         "Theorem-1 violation: sample measured "
-                        "distance ", s.measuredDistance,
-                        " exceeds its bound ", s.distanceBound);
+                        "distance ", sample.measuredDistance,
+                        " exceeds its bound ", sample.distanceBound);
                 }
             }
+            // Degrade: samples the budget cut off stay unmeasured (the
+            // bound certificate above still covers them).
+            if (traces.size() < result.samples.size())
+                checkRunBudget(cfg, runBudget, "during certify");
         }
     }
 
     result.partitionSeconds = partition_watch.seconds();
     result.synthesisSeconds = synth_watch.seconds();
     result.annealSeconds = anneal_watch.seconds();
+    result.certifySeconds = certify_watch.seconds();
     obs::MetricsRegistry::global().gauge(names::kMetricSamples).set(
         static_cast<int64_t>(result.samples.size()));
     return result;

@@ -141,6 +141,7 @@ struct QuestResult
     double partitionSeconds = 0.0;
     double synthesisSeconds = 0.0;
     double annealSeconds = 0.0;
+    double certifySeconds = 0.0;
 
     /** Lowest CNOT count among the selected samples. */
     size_t minSampleCnots() const;

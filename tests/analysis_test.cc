@@ -123,6 +123,7 @@ TEST(Analyzer, FixtureTreeFindingsAreExactlyTheSeededOnes)
     const std::vector<std::string> expected = {
         "analyze.unused-suppression src/unused_ok.cc:6",
         "cancellation.unpolled-loop src/synth/unpolled.cc:7",
+        "cancellation.unpolled-loop src/synth/unpolled.cc:26",
         "determinism.clock src/determinism_bad.cc:4",
         "determinism.clock src/determinism_bad.cc:9",
         "determinism.env src/determinism_bad.cc:10",

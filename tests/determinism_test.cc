@@ -71,10 +71,18 @@ expectIdentical(const QuestResult &a, const QuestResult &b)
         EXPECT_EQ(a.samples[s].cnotCount, b.samples[s].cnotCount);
         EXPECT_EQ(a.samples[s].distanceBound,
                   b.samples[s].distanceBound);
+        // Certify: bit-equal measured distances, so the parallel tile
+        // traces must not depend on the schedule.
+        EXPECT_EQ(a.samples[s].measuredDistance,
+                  b.samples[s].measuredDistance)
+            << "sample " << s;
         EXPECT_EQ(toQasm(a.samples[s].circuit),
                   toQasm(b.samples[s].circuit));
     }
     EXPECT_EQ(a.threshold, b.threshold);
+    EXPECT_EQ(a.certificate.maxMeasured, b.certificate.maxMeasured);
+    EXPECT_EQ(a.certificate.measuredSamples,
+              b.certificate.measuredSamples);
     EXPECT_EQ(a.originalCnots, b.originalCnots);
 }
 
@@ -97,6 +105,9 @@ TEST(Determinism, IndependentOfThreadCount)
     parallel.threads = 4;
     QuestResult a = QuestPipeline(serial).run(circuit);
     QuestResult b = QuestPipeline(parallel).run(circuit);
+    // Full mode: every sample is measured, over several tiles.
+    EXPECT_EQ(a.certificate.measuredSamples,
+              static_cast<int>(a.samples.size()));
     expectIdentical(a, b);
 }
 

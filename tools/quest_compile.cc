@@ -309,7 +309,8 @@ runCompile(int argc, char **argv)
             << "\n"
             << "partition seconds: " << result.partitionSeconds << "\n"
             << "synthesis seconds: " << result.synthesisSeconds << "\n"
-            << "annealing seconds: " << result.annealSeconds << "\n";
+            << "annealing seconds: " << result.annealSeconds << "\n"
+            << "certify seconds: " << result.certifySeconds << "\n";
     if (have_out_dir)
         writeFile(out_dir / "summary.txt", summary.str());
 
