@@ -230,6 +230,35 @@ msPerCall(int iters, const std::function<void()> &fn)
 }
 
 /**
+ * Microseconds per tick of the W-lane cost (one evaluateBatch() with
+ * every lane live) over @p ticks ticks.
+ */
+template <size_t W>
+double
+usPerTick(const Matrix &target, const Ansatz &a, int ticks)
+{
+    synth::BatchedHsCost<W> cost(target, a);
+    Rng rng(9);
+    std::array<std::vector<double>, W> xsStore;
+    std::array<const std::vector<double> *, W> xs{};
+    std::array<std::vector<double>, W> gradStore;
+    std::array<std::vector<double> *, W> grads{};
+    for (size_t l = 0; l < W; ++l) {
+        xsStore[l].resize(static_cast<size_t>(a.paramCount()));
+        for (double &v : xsStore[l])
+            v = rng.uniform(-3.0, 3.0);
+        xs[l] = &xsStore[l];
+        grads[l] = &gradStore[l];
+    }
+    std::array<double, W> f{};
+    cost.evaluateBatch(xs, f, grads);  // warm the arena
+    return 1000.0 * msPerCall(ticks, [&] {
+               cost.evaluateBatch(xs, f, grads);
+               benchmark::DoNotOptimize(f.data());
+           });
+}
+
+/**
  * Instantiation throughput table archived as BENCH_instantiation.json.
  * Every row carries an `engine` column, and both columns are measured
  * IN THE SAME RUN so their ratio is machine-consistent:
@@ -240,6 +269,11 @@ msPerCall(int iters, const std::function<void()> &fn)
  *  - "simd": the 8-lane batch on the dispatched ISA — per-candidate
  *    cost throughput with every lane live, and the same starts as
  *    one multistart call.
+ *
+ * The "hs_tick_wW_nN" rows time one tick of each table width W (1,
+ * 2, 4, 8 lanes, every lane live) on an n-qubit, 3n-layer ansatz;
+ * their engine is the ISA that serves that width, so µs per tick / W
+ * compares the widths' per-lane cost.
  *
  * The n=2..4 cases run the specialized fixed-dim kernels; n=5 (dim
  * 32) runs the generic runtime-dim kernels, and is also where
@@ -336,6 +370,27 @@ instantiationTable()
         table.addRow({"instantiate" + suffix, "simd",
                       "instantiations_per_sec",
                       Table::num(1000.0 / ms, 2)});
+    }
+
+    // One tick per table width, every lane live.
+    for (int n : {3, 4}) {
+        const Ansatz a = benchAnsatz(n, 3 * n);
+        const Matrix target = buildUnitary(lowerToNative(algos::tfim(n, 2)));
+        const int ticks = smoke ? 200 : 2000;
+        auto addTick = [&](size_t w, kern::batch::SimdIsa isa, double us) {
+            table.addRow({"hs_tick_w" + std::to_string(w) + "_n" +
+                              std::to_string(n),
+                          kern::batch::simdIsaName(isa), "us_per_tick",
+                          Table::num(us, 2)});
+        };
+        addTick(1, kern::batch::activeSimdIsaFor<1>(),
+                usPerTick<1>(target, a, ticks));
+        addTick(2, kern::batch::activeSimdIsaFor<2>(),
+                usPerTick<2>(target, a, ticks));
+        addTick(4, kern::batch::activeSimdIsaFor<4>(),
+                usPerTick<4>(target, a, ticks));
+        addTick(kLanes, kern::batch::activeSimdIsaFor<kLanes>(),
+                usPerTick<kLanes>(target, a, ticks));
     }
 
     // Latency of a small 4-start workload issued one start at a time.

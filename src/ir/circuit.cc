@@ -180,7 +180,7 @@ circuitUnitary(const Circuit &circuit)
 {
     const int n = circuit.numQubits();
     QUEST_ASSERT(n <= 12, "circuitUnitary limited to 12 qubits; use "
-                 "UnitaryBuilder for larger circuits");
+                 "buildUnitary (sim/unitary_builder.hh) for larger circuits");
     Matrix u = Matrix::identity(size_t{1} << n);
     for (const Gate &g : circuit) {
         if (g.type == GateType::Barrier || g.type == GateType::Measure)

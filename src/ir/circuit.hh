@@ -101,7 +101,8 @@ class Circuit
 /**
  * Full unitary of a circuit by dense embedding (suitable for small
  * circuits; synthesis blocks are at most four qubits). For larger
- * circuits use sim::UnitaryBuilder. Panics above 12 qubits.
+ * circuits use buildUnitary (sim/unitary_builder.hh). Panics above 12
+ * qubits.
  */
 Matrix circuitUnitary(const Circuit &circuit);
 

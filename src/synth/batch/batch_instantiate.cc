@@ -1,6 +1,8 @@
 #include "synth/batch/batch_instantiate.hh"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <numbers>
 
 #include "obs/metrics.hh"
@@ -35,6 +37,42 @@ dispatchCounter(kern::batch::SimdIsa isa)
     return scalar;
 }
 
+constexpr size_t kLanes = kern::batch::kLanes;
+
+/** One tick's live lanes, packed into slots [0, active); the rest
+ *  are null. */
+using PackedXs = std::array<const std::vector<double> *, kLanes>;
+using PackedGrads = std::array<std::vector<double> *, kLanes>;
+
+/** The costs one call's ticks run on, one per table width, each
+ *  built on first use. */
+struct WidthCosts
+{
+    std::optional<BatchedHsCost<1>> w1;
+    std::optional<BatchedHsCost<2>> w2;
+    std::optional<BatchedHsCost<4>> w4;
+    std::optional<BatchedHsCost<kLanes>> w8;
+};
+
+/** Evaluate the first W packed slots on the W-lane cost; f[j]
+ *  receives slot j's objective. */
+template <size_t W>
+void
+tickOn(std::optional<BatchedHsCost<W>> &cost, const Matrix &target,
+       const Ansatz &ansatz, const PackedXs &xs, const PackedGrads &grads,
+       std::array<double, kLanes> &f)
+{
+    if (!cost)
+        cost.emplace(target, ansatz);
+    std::array<const std::vector<double> *, W> xw{};
+    std::array<std::vector<double> *, W> gw{};
+    std::array<double, W> fw{};
+    std::copy_n(xs.begin(), W, xw.begin());
+    std::copy_n(grads.begin(), W, gw.begin());
+    cost->evaluateBatch(xw, fw, gw);
+    std::copy_n(fw.begin(), W, f.begin());
+}
+
 } // namespace
 
 void
@@ -52,37 +90,32 @@ runBatchedMultistart(const Matrix &target, const Ansatz &ansatz,
         names::kMetricSynthBatchedEvals);
     static auto &batch_lanes =
         obs::MetricsRegistry::global().counter(names::kMetricSynthBatchLanes);
+    static auto &batch_width =
+        obs::MetricsRegistry::global().counter(names::kMetricSynthBatchWidth);
     static auto &lane_refills = obs::MetricsRegistry::global().counter(
         names::kMetricSynthLaneRefills);
 
     constexpr double pi = std::numbers::pi;
-    constexpr size_t L = kern::batch::kLanes;
+    constexpr size_t L = kLanes;
     const int n_starts = static_cast<int>(results.size());
     const int n_params = ansatz.paramCount();
     if (n_starts > 1)
         dispatchCounter(kern::batch::activeSimdIsa()).increment();
 
-    // One shared L-lane cost (and so one SoA workspace) for every
-    // lane: evaluateBatch reuses it allocation-free across all ticks.
-    // Built on the first batched tick; calls that never fill more
-    // than the tail never build it.
-    std::optional<BatchedHsCost<L>> cost;
-
-    // One-lane evaluator for the drain tail. A batch tick costs the
-    // same no matter how many lanes are live, so once the pending
-    // list is dry and only a couple of stragglers remain, evaluating
-    // each alone is cheaper. Per-lane bit-identity across lane counts
-    // (pinned by the kernel parity tests) makes the switch invisible
-    // in every result. Built lazily: most multistart runs drain from
-    // L to 0 quickly enough that it never exists.
-    constexpr size_t kTailLanes = 2;
-    std::optional<BatchedHsCost<1>> tail;
+    // Every tick runs on the narrowest cost that holds its live lanes:
+    // idle lanes cost as much as live ones, so a narrower table does
+    // the same per-lane work in less time. Per-lane bit-identity
+    // across lane counts (pinned by the kernel parity tests) makes the
+    // width invisible in every result.
+    WidthCosts costs;
 
     std::array<std::optional<LbfgsMachine>, L> machines;
     std::array<int, L> laneStart;
     laneStart.fill(-1);
     std::array<std::vector<double>, L> gradBuf;
-    std::array<double, L> fBuf{};
+
+    // Tick tallies, flushed to the registry once per call.
+    uint64_t ticks = 0, tick_lanes = 0, tick_width = 0, refills = 0;
 
     // Lowest start index that reached the goal.
     int stop_at = n_starts;
@@ -138,8 +171,10 @@ runBatchedMultistart(const Matrix &target, const Ansatz &ansatz,
             break;
     }
 
-    std::array<const std::vector<double> *, L> xs;
-    std::array<std::vector<double> *, L> grads;
+    std::array<size_t, L> live{};
+    PackedXs xs;
+    PackedGrads grads;
+    std::array<double, L> fBuf{};
 
     // Lockstep drain. Bounded: every machine's per-iteration
     // options.budget poll (merged call budget) limits its lifetime to
@@ -157,49 +192,54 @@ runBatchedMultistart(const Matrix &target, const Ansatz &ansatz,
             }
         }
 
+        xs.fill(nullptr);
+        grads.fill(nullptr);
         size_t active = 0;
         for (size_t lane = 0; lane < L; ++lane) {
             if (machines[lane]) {
-                xs[lane] = &machines[lane]->queryPoint();
-                grads[lane] = &gradBuf[lane];
+                live[active] = lane;
+                xs[active] = &machines[lane]->queryPoint();
+                grads[active] = &gradBuf[lane];
                 ++active;
-            } else {
-                xs[lane] = nullptr;
-                grads[lane] = nullptr;
             }
         }
         if (active == 0)
             break;
 
-        if (active <= kTailLanes && next_pending >= n_starts) {
-            if (!tail)
-                tail.emplace(target, ansatz);
-            for (size_t lane = 0; lane < L; ++lane) {
-                QUEST_BOUNDED_LOOP("at most kLanes stragglers; each "
-                                   "machine polls options.budget per "
-                                   "iteration");
-                if (xs[lane])
-                    fBuf[lane] = tail->evaluate(*xs[lane], *grads[lane]);
-            }
-        } else {
-            if (!cost)
-                cost.emplace(target, ansatz);
-            cost->evaluateBatch(xs, fBuf, grads);
-            batched_evals.increment();
-            batch_lanes.add(active);
+        const size_t width = std::bit_ceil(active);
+        switch (width) {
+          case 1:
+            tickOn(costs.w1, target, ansatz, xs, grads, fBuf);
+            break;
+          case 2:
+            tickOn(costs.w2, target, ansatz, xs, grads, fBuf);
+            break;
+          case 4:
+            tickOn(costs.w4, target, ansatz, xs, grads, fBuf);
+            break;
+          default:
+            tickOn(costs.w8, target, ansatz, xs, grads, fBuf);
+            break;
         }
+        ++ticks;
+        tick_lanes += active;
+        tick_width += width;
 
-        for (size_t lane = 0; lane < L; ++lane) {
-            if (!machines[lane])
-                continue;
-            machines[lane]->consume(fBuf[lane], gradBuf[lane]);
+        for (size_t j = 0; j < active; ++j) {
+            const size_t lane = live[j];
+            machines[lane]->consume(fBuf[j], gradBuf[lane]);
             if (machines[lane]->done()) {
                 retire(lane);
                 if (launch(lane))
-                    lane_refills.increment();
+                    ++refills;
             }
         }
     }
+
+    batched_evals.add(ticks);
+    batch_lanes.add(tick_lanes);
+    batch_width.add(tick_width);
+    lane_refills.add(refills);
 }
 
 } // namespace quest::synth

@@ -5,15 +5,16 @@
  * All multistarts of one instantiate() call share the same ansatz
  * structure, so their cost evaluations batch perfectly: each live
  * lane holds one start's L-BFGS run (LbfgsMachine), every tick
- * evaluates all lanes through one BatchedHsCost<kLanes> pass,
- * finished lanes retire and refill from the pending starts. Once the
- * pending starts are gone and at most two stragglers remain, each is
- * evaluated alone through BatchedHsCost<1> — and so is a single-start
- * call from its first evaluation. A start's iterates are the same in
- * either lane count, so where it ran never shows in its result. The
- * serial-order best-of reduction stays in instantiate(); the driver
- * runs on the calling thread (thread pools parallelize the synthesis
- * tasks above it).
+ * evaluates all live lanes in one BatchedHsCost pass, finished lanes
+ * retire and refill from the pending starts. Each tick packs its live
+ * runs into the narrowest cost that holds them — 1, 2, 4 or kLanes
+ * lanes, each built on first use — so a 4-start call runs full 4-lane
+ * ticks, a 2-start call 2-lane ticks, and a draining batch steps down
+ * 8 -> 4 -> 2 -> 1 as its runs finish. A start's iterates are the
+ * same at every lane count, so where it ran never shows in its
+ * result. The serial-order best-of reduction stays in instantiate();
+ * the driver runs on the calling thread (thread pools parallelize the
+ * synthesis tasks above it).
  */
 
 #ifndef QUEST_SYNTH_BATCH_BATCH_INSTANTIATE_HH

@@ -13,17 +13,23 @@
  * same per-lane order and associativity, so each lane's result does
  * not depend on L or on the ISA.
  *
- * Two lane counts exist. L = kLanes is the multistart batch, with
- * three implementations behind one function-pointer table: a
- * portable scalar-lane loop (always available, and the only one in
- * a QUEST_SIMD=OFF build), AVX2 (two 4-wide vectors per lane group)
- * and AVX-512 (one 8-wide vector); dispatch picks the widest ISA the
- * host supports, subject to the QUEST_SIMD environment override
- * (util/cpu.hh). L = 1 is the single-candidate layout, always the
- * scalar-lane loop. Bit-identity across tables additionally requires
- * that no multiply-add be contracted into an FMA, so the kernel
- * translation units are compiled with -ffp-contract=off and use
- * separate mul/add/sub intrinsics.
+ * Four lane counts exist, L = 1, 2, 4 and kLanes: the
+ * multistart driver (batch_instantiate.hh) runs every tick on the
+ * narrowest one that holds its live candidates. Each (ISA, lane
+ * count) pair is one instantiation of the same loop bodies behind
+ * one function-pointer table:
+ *   - the portable scalar-lane loop, at every lane count (the only
+ *     tables in a QUEST_SIMD=OFF build);
+ *   - the AVX2 unit: 2 lanes on __m128d, 4 lanes on one __m256d,
+ *     kLanes on two;
+ *   - AVX-512: kLanes on one __m512d.
+ * Dispatch picks, per lane count, the widest ISA that has a table for
+ * it and that the build, the host and the QUEST_SIMD environment
+ * override (util/cpu.hh) allow; L = 1 is always the scalar-lane
+ * loop. Bit-identity across tables additionally requires that no
+ * multiply-add be contracted into an FMA, so the kernel translation
+ * units are compiled with -ffp-contract=off and use separate
+ * mul/add/sub intrinsics.
  *
  * Dims 2/4/8/16 get fully specialized variants via constant
  * propagation and wider dims fall back to generic runtime-dimension
@@ -39,10 +45,11 @@
 namespace quest::kern::batch {
 
 /**
- * The multistart batch width, fixed for every ISA. Eight doubles is
- * one AVX-512 vector, two AVX2 vectors, or an 8-iteration scalar
- * loop — keeping it constant makes the SoA layout (and therefore
- * every result) independent of the dispatched ISA.
+ * The widest table: the most multistarts one tick evaluates, fixed
+ * for every ISA. Eight doubles is one AVX-512 vector, two AVX2
+ * vectors, or an 8-iteration scalar loop. Each lane's arithmetic is
+ * the same at every lane count and on every ISA, so no result
+ * depends on which table a tick ran on.
  */
 inline constexpr size_t kLanes = 8;
 
@@ -118,25 +125,20 @@ struct BatchKernelSet
 };
 
 /**
- * The L-lane kernel table for a dim x dim block: for L = kLanes the
- * process-wide dispatched ISA (see activeSimdIsa), for L = 1 the
- * scalar-lane loop. Call once at cost-object construction and reuse
- * the reference.
+ * The L-lane kernel table for a dim x dim block (L = 1, 2, 4 or
+ * kLanes), on the ISA activeSimdIsaFor<L>() names. Call once at
+ * cost-object construction and reuse the reference.
  */
 template <size_t L>
 const BatchKernelSet &batchKernelsFor(size_t dim);
 
-template <>
-const BatchKernelSet &batchKernelsFor<1>(size_t dim);
-
-template <>
-const BatchKernelSet &batchKernelsFor<kLanes>(size_t dim);
-
 /**
- * The kLanes-wide table for a specific ISA, or nullptr when that ISA
- * was compiled out or the host CPU lacks it. Test hook: the parity
- * suite runs every available ISA against the 1-lane table.
+ * The L-lane table for a specific ISA, or nullptr when that ISA has
+ * no L-lane table (AVX-512 has only kLanes, AVX2 has no 1-lane), was
+ * compiled out, or the host CPU lacks it. Test hook: the parity suite
+ * runs every available table against the 1-lane table.
  */
+template <size_t L = kLanes>
 const BatchKernelSet *batchKernelsForIsa(SimdIsa isa, size_t dim);
 
 /**
@@ -145,6 +147,13 @@ const BatchKernelSet *batchKernelsForIsa(SimdIsa isa, size_t dim);
  * Cached after the first call.
  */
 SimdIsa activeSimdIsa();
+
+/**
+ * The ISA behind batchKernelsFor<L>: the widest one, no wider than
+ * activeSimdIsa(), that has an L-lane table on this build and host.
+ */
+template <size_t L>
+SimdIsa activeSimdIsaFor();
 
 } // namespace quest::kern::batch
 

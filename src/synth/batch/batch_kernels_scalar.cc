@@ -1,11 +1,12 @@
 /**
- * Portable scalar-lane instantiations of the kernel bodies: the
- * one-candidate (L = 1) table every instantiation's single-start and
- * straggler evaluations run on, and the kLanes-wide table that is
- * the no-SIMD build's only batch table and the fallback on hosts
- * without AVX2. Compiled with -ffp-contract=off like the SIMD units
- * so a toolchain that enables FMA globally cannot contract the
- * complex mul/add chains and break cross-table bit-identity.
+ * Portable scalar-lane instantiations of the kernel bodies at every
+ * lane count: the one-candidate (L = 1) table every single-live-lane
+ * tick runs on, and the 2-, 4- and kLanes-wide tables that are the
+ * no-SIMD build's only batch tables and the fallback on hosts without
+ * AVX2 or under QUEST_SIMD=scalar. Compiled with -ffp-contract=off
+ * like the SIMD units so a toolchain that enables FMA globally cannot
+ * contract the complex mul/add chains and break cross-table
+ * bit-identity.
  */
 
 #include "synth/batch/batch_kernels_impl.hh"
@@ -38,6 +39,8 @@ scalarBatchKernelsFor(size_t dim)
 }
 
 template const BatchKernelSet &scalarBatchKernelsFor<1>(size_t dim);
+template const BatchKernelSet &scalarBatchKernelsFor<2>(size_t dim);
+template const BatchKernelSet &scalarBatchKernelsFor<4>(size_t dim);
 template const BatchKernelSet &scalarBatchKernelsFor<kLanes>(size_t dim);
 
 } // namespace quest::kern::batch

@@ -11,16 +11,17 @@
 
 namespace quest::kern::batch {
 
-/** Portable scalar-lane table for @p L lanes (1 or kLanes); always
- *  available. */
+/** Portable scalar-lane table for @p L lanes (1, 2, 4 or kLanes);
+ *  always available. */
 template <size_t L>
 const BatchKernelSet &scalarBatchKernelsFor(size_t dim);
 
-/** AVX2 table, or nullptr when compiled out (QUEST_SIMD=OFF or a
- *  non-x86 target). */
+/** AVX2-unit table for @p L = 2 (__m128d), 4 or kLanes (__m256d), or
+ *  nullptr when compiled out (QUEST_SIMD=OFF or a non-x86 target). */
+template <size_t L>
 const BatchKernelSet *avx2BatchKernelsFor(size_t dim);
 
-/** AVX-512 table, or nullptr when compiled out. */
+/** AVX-512 kLanes table, or nullptr when compiled out. */
 const BatchKernelSet *avx512BatchKernelsFor(size_t dim);
 
 } // namespace quest::kern::batch

@@ -279,6 +279,8 @@ BatchedHsCost<L>::evaluateBatch(
 }
 
 template class BatchedHsCost<1>;
+template class BatchedHsCost<2>;
+template class BatchedHsCost<4>;
 template class BatchedHsCost<kern::batch::kLanes>;
 
 } // namespace quest::synth

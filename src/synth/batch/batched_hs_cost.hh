@@ -13,13 +13,13 @@
  * Matrices are laid out structure-of-arrays across the L lanes
  * (batch_kernels.hh). Trigonometry stays scalar: u3WithDerivatives
  * runs once per (op, lane) and is fanned into the SoA gate cache, so
- * every lane sees the same libm values whatever L is. Two lane
- * counts are instantiated: BatchedHsCost<kLanes> evaluates a
- * multistart batch, BatchedHsCost<1> a single candidate. Both run
- * the same kernel bodies and this file's one loop structure, so a
- * candidate's value and gradient are bit-identical in either; the
- * multistart driver (batch_instantiate.cc) relies on that when it
- * moves stragglers to the 1-lane cost.
+ * every lane sees the same libm values whatever L is. One cost is
+ * instantiated per table lane count: 1, 2, 4 and kLanes. All run the
+ * same kernel bodies and this file's one loop structure, so a
+ * candidate's value and gradient are bit-identical in any of them;
+ * the multistart driver (batch_instantiate.cc) relies on that when it
+ * runs each tick on the narrowest cost that holds its live
+ * candidates.
  */
 
 #ifndef QUEST_SYNTH_BATCH_BATCHED_HS_COST_HH
@@ -72,8 +72,9 @@ struct BatchedHsWorkspace
 
     /**
      * 64-byte-aligned base of each buffer above, set by ensure(). One
-     * lane group of the 8-lane batch is one cache line, so an aligned
-     * base keeps every vector load/store within a single line;
+     * lane group of the 8-lane batch is one cache line (of the 4- and
+     * 2-lane tables, half and a quarter of one), so an aligned base
+     * keeps every vector load/store within a single line;
      * vector<double>'s own data() is only 16-byte aligned, which
      * would split EVERY 64-byte access across two lines. The vectors
      * over-allocate by 7 doubles and these point at the first aligned
@@ -151,6 +152,8 @@ class BatchedHsCost
 };
 
 extern template class BatchedHsCost<1>;
+extern template class BatchedHsCost<2>;
+extern template class BatchedHsCost<4>;
 extern template class BatchedHsCost<kern::batch::kLanes>;
 
 } // namespace quest::synth

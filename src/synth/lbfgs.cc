@@ -33,7 +33,7 @@ infNorm(const std::vector<double> &v)
 /** Flush one finished run's iteration/evaluation tallies to the
  *  metrics registry. */
 void
-tallyRun(int evaluations, int iterations)
+tallyRun(int evaluations, int iterations, bool capped)
 {
     static auto &calls =
         obs::MetricsRegistry::global().counter(names::kMetricLbfgsCalls);
@@ -43,10 +43,14 @@ tallyRun(int evaluations, int iterations)
         names::kMetricLbfgsEvaluations);
     static auto &iter_hist = obs::MetricsRegistry::global().histogram(
         names::kMetricLbfgsIterationsPerCall);
+    static auto &cap_hits =
+        obs::MetricsRegistry::global().counter(names::kMetricLbfgsCapHits);
     calls.increment();
     evals.add(static_cast<uint64_t>(evaluations));
     iters.add(static_cast<uint64_t>(iterations));
     iter_hist.record(static_cast<uint64_t>(iterations));
+    if (capped)
+        cap_hits.increment();
 }
 
 } // namespace
@@ -91,6 +95,7 @@ LbfgsMachine::beginIteration()
     // The top of one iteration, through its first line-search trial
     // proposal.
     if (iter >= options.maxIterations) {
+        capped = true;
         finishWithValue();
         return;
     }
@@ -237,7 +242,7 @@ LbfgsMachine::takeResult()
 {
     QUEST_ASSERT(phase == Phase::Finished,
                  "takeResult() on an unfinished machine");
-    tallyRun(evals, result.iterations);
+    tallyRun(evals, result.iterations, capped);
     return std::move(result);
 }
 

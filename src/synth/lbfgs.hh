@@ -113,6 +113,7 @@ class LbfgsMachine
     size_t n = 0;
     int evals = 0;
     int iter = 0;
+    bool capped = false;  //!< ended by options.maxIterations
 
     double f = 0.0;
     std::vector<double> grad;

@@ -86,6 +86,7 @@ inline constexpr const char kMetricLbfgsEvaluations[] =
     "lbfgs.evaluations";
 inline constexpr const char kMetricLbfgsNonfiniteObjectives[] =
     "lbfgs.nonfinite_objectives";
+inline constexpr const char kMetricLbfgsCapHits[] = "lbfgs.cap_hits";
 
 // LEAP synthesis and instantiation (src/synth).
 inline constexpr const char kMetricSynthCalls[] = "synth.calls";
@@ -104,6 +105,8 @@ inline constexpr const char kMetricSynthBatchedEvals[] =
     "synth.batched_evals";
 inline constexpr const char kMetricSynthBatchLanes[] =
     "synth.batch_lanes";
+inline constexpr const char kMetricSynthBatchWidth[] =
+    "synth.batch_width";
 inline constexpr const char kMetricSynthLaneRefills[] =
     "synth.lane_refills";
 inline constexpr const char kMetricSynthSimdDispatchAvx512[] =

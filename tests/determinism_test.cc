@@ -11,16 +11,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <optional>
+#include <string>
 
 #include "algos/algorithms.hh"
 #include "anneal/dual_annealing.hh"
 #include "dense_ansatz.hh"
 #include "ir/qasm.hh"
+#include "obs/metrics.hh"
 #include "quest/pipeline.hh"
+#include "synth/batch/batch_instantiate.hh"
 #include "synth/batch/batched_hs_cost.hh"
 #include "synth/instantiater.hh"
 #include "synth/lbfgs.hh"
+#include "util/names.hh"
 
 namespace quest {
 namespace {
@@ -166,33 +172,46 @@ runInstantiation(const Matrix &target, const Ansatz &a, double goal,
 }
 
 /**
- * The serial reference for runInstantiation: each start driven alone
- * through the 1-lane cost, in index order, from the same splitN
- * streams, keeping the first strict improvement and stopping at the
- * first start that reaches the goal.
+ * Every start of a multistart call run alone, in index order, through
+ * the 1-lane cost: start i from stream i of Rng(seed).splitN(starts),
+ * except that start 0 begins at @p warm (zero-padded) when given —
+ * the same start points instantiate() draws.
  */
-InstantiationResult
-serialReference(const Matrix &target, const Ansatz &a, double goal,
-                int multistarts = 6)
+std::vector<LbfgsResult>
+eachStartAlone(const Matrix &target, const Ansatz &a, uint64_t seed,
+               int starts, const LbfgsOptions &lbfgs,
+               const std::optional<std::vector<double>> &warm = std::nullopt)
 {
-    Rng rng(42);
-    std::vector<Rng> streams =
-        rng.splitN(static_cast<size_t>(multistarts));
+    Rng rng(seed);
+    std::vector<Rng> streams = rng.splitN(static_cast<size_t>(starts));
     synth::BatchedHsCost<1> cost(target, a);
     const GradObjective objective = [&cost](const std::vector<double> &x,
                                             std::vector<double> *grad) {
         return cost.evaluate(x, *grad);
     };
-    LbfgsOptions lbfgs;
-    lbfgs.maxIterations = 200;
+    std::vector<LbfgsResult> runs;
+    for (int i = 0; i < starts; ++i) {
+        std::vector<double> x0(static_cast<size_t>(a.paramCount()), 0.0);
+        if (i == 0 && warm) {
+            std::copy(warm->begin(), warm->end(), x0.begin());
+        } else {
+            for (double &v : x0)
+                v = streams[static_cast<size_t>(i)].uniform(-pi, pi);
+        }
+        runs.push_back(lbfgsMinimize(objective, std::move(x0), lbfgs));
+    }
+    return runs;
+}
 
+/** A serial loop's best-of over @p runs: the first strict
+ *  improvement wins, and the first run that reaches @p goal ends the
+ *  loop. */
+InstantiationResult
+serialBest(std::vector<LbfgsResult> runs, double goal)
+{
     InstantiationResult best;
     double best_value = 2.0;
-    for (Rng &stream : streams) {
-        std::vector<double> x0(static_cast<size_t>(a.paramCount()));
-        for (double &v : x0)
-            v = stream.uniform(-pi, pi);
-        LbfgsResult r = lbfgsMinimize(objective, std::move(x0), lbfgs);
+    for (LbfgsResult &r : runs) {
         if (r.value < best_value) {
             best_value = r.value;
             best.params = std::move(r.x);
@@ -202,6 +221,28 @@ serialReference(const Matrix &target, const Ansatz &a, double goal,
             break;
     }
     return best;
+}
+
+/** The serial reference for runInstantiation. */
+InstantiationResult
+serialReference(const Matrix &target, const Ansatz &a, double goal,
+                int multistarts = 6)
+{
+    LbfgsOptions lbfgs;
+    lbfgs.maxIterations = 200;
+    return serialBest(eachStartAlone(target, a, 42, multistarts, lbfgs),
+                      goal);
+}
+
+/** Bitwise equality of two L-BFGS runs. */
+void
+expectSameRun(const LbfgsResult &got, const LbfgsResult &want,
+              const std::string &where)
+{
+    EXPECT_EQ(got.value, want.value) << where;
+    EXPECT_EQ(got.iterations, want.iterations) << where;
+    EXPECT_EQ(got.converged, want.converged) << where;
+    EXPECT_EQ(got.x, want.x) << where;
 }
 
 /** Bitwise equality of distance and every parameter. */
@@ -244,6 +285,125 @@ TEST(Determinism, BatchedEngineMatchesScalarSerialAcrossLaneRefills)
     // perturbing any other lane's iterates.
     expectSameResult(runInstantiation(target, a, 0.0, 11),
                      serialReference(target, a, 0.0, 11));
+}
+
+TEST(Determinism, MultistartDriverMatchesEachStartAloneAtEveryWidth)
+{
+    Ansatz a = Ansatz::initialLayer(3);
+    a.addLayer(0, 1);
+    a.addLayer(1, 2);
+    const Matrix target = reachableTarget(a);
+    InstantiaterOptions opts;
+    opts.lbfgs.maxIterations = 60;
+    opts.goal = -1.0;  // unreachable: no lane is ever dropped
+
+    auto &reg = obs::MetricsRegistry::global();
+    auto &ticks = reg.counter(names::kMetricSynthBatchedEvals);
+    auto &lanes = reg.counter(names::kMetricSynthBatchLanes);
+    auto &width = reg.counter(names::kMetricSynthBatchWidth);
+    auto &evals = reg.counter(names::kMetricLbfgsEvaluations);
+
+    // 1..9 starts: every table width from the first tick, and runs
+    // that end at different iteration counts, so a call's ticks step
+    // down 8 -> 4 -> 2 -> 1 lanes mid-run (9 also refills a lane).
+    for (int starts = 1; starts <= 9; ++starts) {
+        const std::vector<LbfgsResult> alone =
+            eachStartAlone(target, a, 42, starts, opts.lbfgs);
+
+        Rng rng(42);
+        std::vector<Rng> streams =
+            rng.splitN(static_cast<size_t>(starts));
+        std::vector<LbfgsResult> results(static_cast<size_t>(starts));
+        std::vector<uint8_t> computed(static_cast<size_t>(starts), 0);
+        const uint64_t ticks0 = ticks.value(), lanes0 = lanes.value();
+        const uint64_t width0 = width.value(), evals0 = evals.value();
+        synth::runBatchedMultistart(target, a, streams, opts.lbfgs, opts,
+                                    std::nullopt, results, computed);
+        const uint64_t dTicks = ticks.value() - ticks0;
+        const uint64_t dLanes = lanes.value() - lanes0;
+        const uint64_t dWidth = width.value() - width0;
+
+        for (int i = 0; i < starts; ++i) {
+            const std::string where = "starts=" + std::to_string(starts) +
+                                      " start=" + std::to_string(i);
+            ASSERT_TRUE(computed[static_cast<size_t>(i)]) << where;
+            expectSameRun(results[static_cast<size_t>(i)],
+                          alone[static_cast<size_t>(i)], where);
+        }
+
+        // Every live lane of every tick is one L-BFGS evaluation; the
+        // widths are the narrowest powers of two holding them.
+        EXPECT_EQ(dLanes, evals.value() - evals0) << starts;
+        EXPECT_GE(dWidth, dLanes) << starts;
+        EXPECT_LT(dWidth, 2 * dLanes) << starts;
+        EXPECT_LE(dTicks, dLanes) << starts;
+        if (starts == 9) {
+            EXPECT_GT(dWidth, dTicks) << "no multi-lane tick";
+            EXPECT_LT(dWidth, 8 * dTicks) << "no narrow tick";
+        }
+
+        opts.multistarts = starts;
+        Rng irng(42);
+        expectSameResult(instantiate(target, a, irng, opts),
+                         serialBest(alone, opts.goal));
+    }
+}
+
+TEST(Determinism, MultistartDriverMatchesEachStartAloneWithWarmStart)
+{
+    Ansatz a = Ansatz::initialLayer(2);
+    a.addLayer(0, 1);
+    a.addLayer(1, 0);
+    const Matrix target = reachableTarget(a);
+    InstantiaterOptions opts;
+    opts.lbfgs.maxIterations = 200;
+    opts.goal = 1e-10;  // reachable: some start stops the call early
+
+    // A warm start from the previous level: one layer (two U3s)
+    // fewer, the new trailing parameters start at zero.
+    Rng wrng(7);
+    std::vector<double> warm(static_cast<size_t>(a.paramCount() - 6));
+    for (double &v : warm)
+        v = wrng.uniform(-pi, pi);
+
+    bool stoppedEarly = false;
+    for (int starts = 1; starts <= 9; ++starts) {
+        const std::vector<LbfgsResult> alone =
+            eachStartAlone(target, a, 42, starts, opts.lbfgs, warm);
+        int firstGoal = starts;
+        for (int i = starts; i-- > 0;)
+            if (alone[static_cast<size_t>(i)].value <= opts.goal)
+                firstGoal = i;
+        stoppedEarly |= firstGoal + 1 < starts;
+
+        Rng rng(42);
+        std::vector<Rng> streams =
+            rng.splitN(static_cast<size_t>(starts));
+        std::vector<LbfgsResult> results(static_cast<size_t>(starts));
+        std::vector<uint8_t> computed(static_cast<size_t>(starts), 0);
+        synth::runBatchedMultistart(target, a, streams, opts.lbfgs, opts,
+                                    warm, results, computed);
+
+        // Every start up to the first that reached the goal must run;
+        // later ones may be dropped, but any that finished must match.
+        for (int i = 0; i < starts; ++i) {
+            const std::string where = "starts=" + std::to_string(starts) +
+                                      " start=" + std::to_string(i);
+            if (i <= firstGoal) {
+                ASSERT_TRUE(computed[static_cast<size_t>(i)]) << where;
+            }
+            if (computed[static_cast<size_t>(i)]) {
+                expectSameRun(results[static_cast<size_t>(i)],
+                              alone[static_cast<size_t>(i)], where);
+            }
+        }
+
+        opts.multistarts = starts;
+        Rng irng(42);
+        expectSameResult(instantiate(target, a, irng, opts, warm),
+                         serialBest(alone, opts.goal));
+    }
+    EXPECT_TRUE(stoppedEarly) << "no start reached the goal early";
 }
 
 TEST(Determinism, DualAnnealingSameSeed)

@@ -4,8 +4,9 @@
  * 1-lane instantiation (synth/batch/batch_kernels.hh) is checked
  * against the naive dense embedUnitary reference across all
  * supported dimensions and wires; golden IEEE bit patterns pin the
- * kernels' operation order; every ISA's 8-lane table must match the
- * 1-lane table bit for bit, lane by lane; the fused U3+derivative
+ * kernels' operation order on every table; every ISA's 2-, 4- and
+ * 8-lane tables and costs must match the 1-lane ones bit for bit,
+ * lane by lane; the fused U3+derivative
  * evaluation is checked against the reference factories, and the
  * cost's gradient against finite differences and the dense
  * reference (dense_ansatz.hh). A global operator-new probe asserts
@@ -41,7 +42,19 @@
 // the replacement itself never allocates.
 namespace {
 std::atomic<uint64_t> g_allocation_count{0};
+
+/**
+ * Every replacement delete releases through here. Kept out of line so
+ * the compiler never sees std::free applied directly to a pointer
+ * that an inlined operator new returned, which GCC reports as a
+ * mismatched new/delete pair.
+ */
+[[gnu::noinline]] void
+releaseBlock(void *p) noexcept
+{
+    std::free(p);
 }
+} // namespace
 
 void *
 operator new(std::size_t n)
@@ -61,25 +74,25 @@ operator new[](std::size_t n)
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    releaseBlock(p);
 }
 
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    releaseBlock(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    releaseBlock(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    releaseBlock(p);
 }
 // ---------------------------------------------------------------------
 
@@ -468,18 +481,73 @@ digests(const kern::batch::BatchKernelSet &k, size_t lanes, size_t dim)
 
 } // namespace golden
 
+constexpr kern::batch::SimdIsa kAllIsas[] = {
+    kern::batch::SimdIsa::Scalar, kern::batch::SimdIsa::Avx2,
+    kern::batch::SimdIsa::Avx512};
+
 /** The ISAs whose 8-lane tables exist on this build+host. */
 std::vector<kern::batch::SimdIsa>
 availableIsas()
 {
     std::vector<kern::batch::SimdIsa> isas;
-    for (auto isa :
-         {kern::batch::SimdIsa::Scalar, kern::batch::SimdIsa::Avx2,
-          kern::batch::SimdIsa::Avx512}) {
+    for (auto isa : kAllIsas) {
         if (kern::batch::batchKernelsForIsa(isa, 2))
             isas.push_back(isa);
     }
     return isas;
+}
+
+/** One multi-lane kernel table of this build+host. */
+struct WideTable
+{
+    std::string name;  //!< "<isa> <lanes>-lane"
+    size_t lanes;
+    const kern::batch::BatchKernelSet *kernels;
+};
+
+/** Every 2-, 4- and 8-lane table of this build+host for a dim x dim
+ *  block. */
+std::vector<WideTable>
+wideTables(size_t dim)
+{
+    std::vector<WideTable> tables;
+    auto add = [&](kern::batch::SimdIsa isa, size_t lanes,
+                   const kern::batch::BatchKernelSet *k) {
+        if (k)
+            tables.push_back({std::string(kern::batch::simdIsaName(isa)) +
+                                  " " + std::to_string(lanes) + "-lane",
+                              lanes, k});
+    };
+    for (auto isa : kAllIsas) {
+        add(isa, 2, kern::batch::batchKernelsForIsa<2>(isa, dim));
+        add(isa, 4, kern::batch::batchKernelsForIsa<4>(isa, dim));
+        add(isa, kL, kern::batch::batchKernelsForIsa<kL>(isa, dim));
+    }
+    return tables;
+}
+
+TEST(Kernels, NarrowTablesDispatchToTheAvx2Unit)
+{
+    using kern::batch::SimdIsa;
+    const SimdIsa active = kern::batch::activeSimdIsa();
+    EXPECT_EQ(kern::batch::activeSimdIsaFor<1>(), SimdIsa::Scalar);
+    EXPECT_EQ(kern::batch::activeSimdIsaFor<kL>(), active);
+    const bool avx2 =
+        active != SimdIsa::Scalar &&
+        kern::batch::batchKernelsForIsa<4>(SimdIsa::Avx2, 2) != nullptr;
+    const SimdIsa narrow = avx2 ? SimdIsa::Avx2 : SimdIsa::Scalar;
+    EXPECT_EQ(kern::batch::activeSimdIsaFor<2>(), narrow);
+    EXPECT_EQ(kern::batch::activeSimdIsaFor<4>(), narrow);
+    for (size_t dim = 2; dim <= 32; dim <<= 1) {
+        EXPECT_EQ(&kern::batch::batchKernelsFor<1>(dim),
+                  kern::batch::batchKernelsForIsa<1>(SimdIsa::Scalar, dim));
+        EXPECT_EQ(&kern::batch::batchKernelsFor<2>(dim),
+                  kern::batch::batchKernelsForIsa<2>(narrow, dim));
+        EXPECT_EQ(&kern::batch::batchKernelsFor<4>(dim),
+                  kern::batch::batchKernelsForIsa<4>(narrow, dim));
+        EXPECT_EQ(&kern::batch::batchKernelsFor<kL>(dim),
+                  kern::batch::batchKernelsForIsa<kL>(active, dim));
+    }
 }
 
 TEST(Kernels, GoldenBitsPinTheOperationOrder)
@@ -488,12 +556,9 @@ TEST(Kernels, GoldenBitsPinTheOperationOrder)
         std::vector<std::pair<std::string, golden::Row>> runs;
         runs.emplace_back("1-lane",
                           golden::digests(oneLane(want.dim), 1, want.dim));
-        for (auto isa : availableIsas()) {
+        for (const WideTable &t : wideTables(want.dim)) {
             runs.emplace_back(
-                std::string(kern::batch::simdIsaName(isa)) + " 8-lane",
-                golden::digests(
-                    *kern::batch::batchKernelsForIsa(isa, want.dim), kL,
-                    want.dim));
+                t.name, golden::digests(*t.kernels, t.lanes, want.dim));
         }
         for (const auto &[table, got] : runs) {
             EXPECT_EQ(got.leftU3, want.leftU3)
@@ -610,9 +675,10 @@ TEST(HsCostWorkspace, EvaluateIsAllocationFreeAfterWarmup)
 }
 
 // ---------------------------------------------------------------------
-// The 8-lane tables and cost: every kernel and the full cost must be
-// BIT-identical per lane to the 1-lane instantiation, on every ISA
-// the build and the host provide. All comparisons below are
+// The multi-lane tables and costs: every kernel (8 lanes below; every
+// width in the golden test above) and the full cost at 2, 4 and 8
+// lanes must be BIT-identical per lane to the 1-lane instantiation,
+// on every ISA the build and the host provide. All comparisons below are
 // EXPECT_EQ on doubles — exact, not approximate.
 
 /** kL random dim x dim matrices, one per lane. */
@@ -795,55 +861,78 @@ TEST(BatchKernels, TraceTargetMatchesScalarBitExact)
     }
 }
 
+/**
+ * Evaluate every live-lane count 1..W through one W-lane cost on
+ * kernel table @p k and require each live lane's value and gradient
+ * to equal the 1-lane cost's bit for bit. Reusing the cost across
+ * live counts also checks that no stale lane leaks into the next
+ * evaluation.
+ */
+template <size_t W>
+void
+expectCostMatchesOneLane(const kern::batch::BatchKernelSet &k,
+                         const Ansatz &a, const Matrix &target, Rng &rng,
+                         const std::string &where)
+{
+    synth::BatchedHsCost<W> cost(target, a);
+    cost.useKernels(k);
+    HsCost ref(target, a);
+    for (size_t live = 1; live <= W; ++live) {
+        std::array<std::vector<double>, W> xsStore;
+        std::array<const std::vector<double> *, W> xs{};
+        std::array<std::vector<double>, W> gradStore;
+        std::array<std::vector<double> *, W> grads{};
+        for (size_t l = 0; l < live; ++l) {
+            xsStore[l].resize(static_cast<size_t>(a.paramCount()));
+            for (double &v : xsStore[l])
+                v = rng.uniform(-pi, pi);
+            xs[l] = &xsStore[l];
+            grads[l] = &gradStore[l];
+        }
+        std::array<double, W> f{};
+        cost.evaluateBatch(xs, f, grads);
+
+        for (size_t l = 0; l < live; ++l) {
+            std::vector<double> refGrad;
+            const double refF = ref.evaluate(xsStore[l], refGrad);
+            EXPECT_EQ(f[l], refF)
+                << where << " live=" << live << " lane=" << l;
+            ASSERT_EQ(gradStore[l].size(), refGrad.size());
+            for (size_t i = 0; i < refGrad.size(); ++i) {
+                EXPECT_EQ(gradStore[l][i], refGrad[i])
+                    << where << " live=" << live << " lane=" << l
+                    << " param=" << i;
+            }
+        }
+    }
+}
+
 TEST(BatchedHsCostSuite, EvaluateMatchesScalarBitExactAllLaneCounts)
 {
-    for (auto isa : availableIsas()) {
-        for (int n = 1; n <= 4; ++n) {
-            Rng rng(500 + static_cast<uint64_t>(n));
-            Ansatz a = testAnsatz(n);
-            std::vector<double> truth(a.paramCount());
-            for (double &v : truth)
-                v = rng.uniform(-pi, pi);
-            const Matrix target = denseUnitary(a, truth);
+    // Dims 2..32: the specialized kernels and the generic-dim ones.
+    for (int n = 1; n <= 5; ++n) {
+        Rng rng(500 + static_cast<uint64_t>(n));
+        Ansatz a = testAnsatz(n);
+        std::vector<double> truth(a.paramCount());
+        for (double &v : truth)
+            v = rng.uniform(-pi, pi);
+        const Matrix target = denseUnitary(a, truth);
 
-            // Live-lane counts 1..kL cover full and partial batches.
-            for (size_t live = 1; live <= kL; ++live) {
-                std::array<std::vector<double>, kL> xsStore;
-                std::array<const std::vector<double> *, kL> xs{};
-                std::array<std::vector<double>, kL> gradStore;
-                std::array<std::vector<double> *, kL> grads{};
-                for (size_t l = 0; l < live; ++l) {
-                    xsStore[l].resize(
-                        static_cast<size_t>(a.paramCount()));
-                    for (double &v : xsStore[l])
-                        v = rng.uniform(-pi, pi);
-                    xs[l] = &xsStore[l];
-                    grads[l] = &gradStore[l];
-                }
-                synth::BatchedHsCost<kL> cost(target, a);
-                const auto *bk = kern::batch::batchKernelsForIsa(
-                    isa, target.rows());
-                ASSERT_NE(bk, nullptr);
-                cost.useKernels(*bk);
-                std::array<double, kL> f{};
-                cost.evaluateBatch(xs, f, grads);
-
-                HsCost ref(target, a);
-                for (size_t l = 0; l < live; ++l) {
-                    std::vector<double> refGrad;
-                    const double refF = ref.evaluate(xsStore[l], refGrad);
-                    EXPECT_EQ(f[l], refF)
-                        << "isa=" << kern::batch::simdIsaName(isa)
-                        << " n=" << n << " live=" << live
-                        << " lane=" << l;
-                    ASSERT_EQ(gradStore[l].size(), refGrad.size());
-                    for (size_t i = 0; i < refGrad.size(); ++i) {
-                        EXPECT_EQ(gradStore[l][i], refGrad[i])
-                            << "isa=" << kern::batch::simdIsaName(isa)
-                            << " n=" << n << " live=" << live
-                            << " lane=" << l << " param=" << i;
-                    }
-                }
+        for (const WideTable &t : wideTables(target.rows())) {
+            const std::string where = t.name + " n=" + std::to_string(n);
+            switch (t.lanes) {
+              case 2:
+                expectCostMatchesOneLane<2>(*t.kernels, a, target, rng,
+                                            where);
+                break;
+              case 4:
+                expectCostMatchesOneLane<4>(*t.kernels, a, target, rng,
+                                            where);
+                break;
+              default:
+                expectCostMatchesOneLane<kL>(*t.kernels, a, target, rng,
+                                             where);
+                break;
             }
         }
     }

@@ -12,7 +12,12 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hh"
+#include "synth/ansatz.hh"
+#include "synth/instantiater.hh"
 #include "synth/lbfgs.hh"
+#include "util/names.hh"
+#include "util/rng.hh"
 
 namespace quest {
 namespace {
@@ -118,6 +123,44 @@ TEST(Lbfgs, RespectsIterationCap)
     opts.maxIterations = 3;
     LbfgsResult r = lbfgsMinimize(f, {-1.2, 1.0}, opts);
     EXPECT_LE(r.iterations, 3);
+}
+
+TEST(Lbfgs, CapHitsCountRunsEndedByTheIterationCap)
+{
+    auto &reg = obs::MetricsRegistry::global();
+    auto &calls = reg.counter(names::kMetricLbfgsCalls);
+    auto &capHits = reg.counter(names::kMetricLbfgsCapHits);
+
+    // An unreachable goal and a cap of 5: every start runs into the
+    // cap, so every L-BFGS run is a cap hit.
+    Ansatz a = Ansatz::initialLayer(2);
+    a.addLayer(0, 1);
+    Rng trng(3);
+    Matrix target(4, 4);
+    for (Complex &v : target.data())
+        v = Complex(trng.uniform(-1.0, 1.0), trng.uniform(-1.0, 1.0));
+    InstantiaterOptions opts;
+    opts.multistarts = 6;
+    opts.lbfgs.maxIterations = 5;
+    opts.goal = -1.0;
+    Rng rng(11);
+    uint64_t calls0 = calls.value(), hits0 = capHits.value();
+    instantiate(target, a, rng, opts);
+    EXPECT_EQ(calls.value() - calls0, 6u);
+    EXPECT_EQ(capHits.value() - hits0, calls.value() - calls0);
+
+    // A run that converges first is no cap hit.
+    GradObjective bowl = [](const std::vector<double> &x,
+                            std::vector<double> *g) {
+        if (g)
+            *g = {2.0 * (x[0] - 1.0)};
+        return (x[0] - 1.0) * (x[0] - 1.0);
+    };
+    calls0 = calls.value();
+    hits0 = capHits.value();
+    EXPECT_TRUE(lbfgsMinimize(bowl, {4.0}).converged);
+    EXPECT_EQ(calls.value() - calls0, 1u);
+    EXPECT_EQ(capHits.value(), hits0);
 }
 
 TEST(Lbfgs, MonotoneNonIncreasing)
