@@ -231,13 +231,21 @@ msPerCall(int iters, const std::function<void()> &fn)
 
 /**
  * Microseconds per tick of the W-lane cost (one evaluateBatch() with
- * every lane live) over @p ticks ticks.
+ * every lane live) over @p ticks ticks, on sibling ansätze
+ * (Ansatz::isSiblingOf) with lane l on sibling l mod their count:
+ * with more than one, every tick runs each lane's final layer on its
+ * own.
  */
 template <size_t W>
 double
-usPerTick(const Matrix &target, const Ansatz &a, int ticks)
+usPerTick(const Matrix &target, const std::vector<const Ansatz *> &siblings,
+          int ticks)
 {
-    synth::BatchedHsCost<W> cost(target, a);
+    synth::BatchedHsCost<W> cost(target, siblings);
+    const Ansatz &a = *siblings.front();
+    typename synth::BatchedHsCost<W>::Siblings sibling{};
+    for (size_t l = 0; l < W; ++l)
+        sibling[l] = static_cast<uint32_t>(l % siblings.size());
     Rng rng(9);
     std::array<std::vector<double>, W> xsStore;
     std::array<const std::vector<double> *, W> xs{};
@@ -251,11 +259,19 @@ usPerTick(const Matrix &target, const Ansatz &a, int ticks)
         grads[l] = &gradStore[l];
     }
     std::array<double, W> f{};
-    cost.evaluateBatch(xs, f, grads);  // warm the arena
+    cost.evaluateBatch(xs, sibling, f, grads);  // warm the arena
     return 1000.0 * msPerCall(ticks, [&] {
-               cost.evaluateBatch(xs, f, grads);
+               cost.evaluateBatch(xs, sibling, f, grads);
                benchmark::DoNotOptimize(f.data());
            });
+}
+
+/** The same with one ansatz in every lane. */
+template <size_t W>
+double
+usPerTick(const Matrix &target, const Ansatz &a, int ticks)
+{
+    return usPerTick<W>(target, {&a}, ticks);
 }
 
 /**
@@ -273,7 +289,9 @@ usPerTick(const Matrix &target, const Ansatz &a, int ticks)
  * The "hs_tick_wW_nN" rows time one tick of each table width W (1,
  * 2, 4, 8 lanes, every lane live) on an n-qubit, 3n-layer ansatz;
  * their engine is the ISA that serves that width, so µs per tick / W
- * compares the widths' per-lane cost.
+ * compares the widths' per-lane cost. "hs_tick_sib_w8_nN" is an
+ * 8-lane tick of a LEAP sibling group: four siblings, two lanes each,
+ * so every lane also runs its own final layer on the 1-lane kernels.
  *
  * The n=2..4 cases run the specialized fixed-dim kernels; n=5 (dim
  * 32) runs the generic runtime-dim kernels, and is also where
@@ -391,6 +409,25 @@ instantiationTable()
                 usPerTick<4>(target, a, ticks));
         addTick(kLanes, kern::batch::activeSimdIsaFor<kLanes>(),
                 usPerTick<kLanes>(target, a, ticks));
+
+        // A LEAP sibling tick: the same ansatz as the prefix of four
+        // siblings whose final layers sit on four different pairs,
+        // two lanes each.
+        std::vector<Ansatz> kids;
+        const Ansatz prefix = benchAnsatz(n, 3 * n - 1);
+        for (int k = 0; k < 4; ++k) {
+            kids.push_back(prefix);
+            kids.back().addLayer(k % n, (k + 1 + k / n) % n);
+        }
+        const std::vector<const Ansatz *> siblings{&kids[0], &kids[1],
+                                                   &kids[2], &kids[3]};
+        table.addRow({"hs_tick_sib_w" + std::to_string(kLanes) + "_n" +
+                          std::to_string(n),
+                      kern::batch::simdIsaName(
+                          kern::batch::activeSimdIsaFor<kLanes>()),
+                      "us_per_tick",
+                      Table::num(usPerTick<kLanes>(target, siblings, ticks),
+                                 2)});
     }
 
     // Latency of a small 4-start workload issued one start at a time.

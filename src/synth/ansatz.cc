@@ -128,6 +128,25 @@ Ansatz::addLayer(int a, int b)
     addU3(b);
 }
 
+bool
+Ansatz::endsInLayer() const
+{
+    const size_t k = ops.size();
+    if (k < 3)
+        return false;
+    const Op &cx = ops[k - 3];
+    return cx.isCx && ops[k - 2] == Op{false, cx.a, -1} &&
+           ops[k - 1] == Op{false, cx.b, -1};
+}
+
+bool
+Ansatz::isSiblingOf(const Ansatz &other) const
+{
+    return nQubits == other.nQubits && ops.size() == other.ops.size() &&
+           endsInLayer() && other.endsInLayer() &&
+           std::equal(ops.begin(), ops.end() - 3, other.ops.begin());
+}
+
 Circuit
 Ansatz::instantiate(const std::vector<double> &params) const
 {

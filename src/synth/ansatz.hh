@@ -38,6 +38,8 @@ struct AnsatzOp
     bool isCx;
     int a;  //!< U3 wire, or CX control
     int b;  //!< CX target (unused for U3)
+
+    bool operator==(const AnsatzOp &) const = default;
 };
 
 /**
@@ -75,6 +77,14 @@ class Ansatz
      */
     void addLayer(int a, int b);
 
+    /**
+     * True when this and @p other differ at most in their final layer
+     * (addLayer): both end in a layer, over the same wires, after the
+     * same op sequence. The successors of one LEAP frontier node are
+     * siblings, so one lane-lockstep instantiation can run them all.
+     */
+    bool isSiblingOf(const Ansatz &other) const;
+
     /** Materialize a concrete circuit from parameter values. */
     Circuit instantiate(const std::vector<double> &params) const;
 
@@ -90,6 +100,9 @@ class Ansatz
 
   private:
     using Op = AnsatzOp;
+
+    /** The op sequence ends in an addLayer() triple. */
+    bool endsInLayer() const;
 
     int nQubits;
     int u3Count = 0;

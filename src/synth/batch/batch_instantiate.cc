@@ -39,50 +39,87 @@ dispatchCounter(kern::batch::SimdIsa isa)
 
 constexpr size_t kLanes = kern::batch::kLanes;
 
+/**
+ * The table width a tick of @p active live lanes runs on: the
+ * narrowest that holds them, unless that table is the scalar-lane
+ * loop — a W-lane scalar-lane tick costs more than W 1-lane ticks, so
+ * such hosts tick one lane at a time.
+ */
+size_t
+tickWidth(size_t active)
+{
+    using kern::batch::SimdIsa;
+    using kern::batch::activeSimdIsaFor;
+    const size_t width = std::bit_ceil(active);
+    const SimdIsa isa = width == 2   ? activeSimdIsaFor<2>()
+                        : width == 4 ? activeSimdIsaFor<4>()
+                                     : activeSimdIsaFor<kLanes>();
+    return width > 1 && isa != SimdIsa::Scalar ? width : 1;
+}
+
 /** One tick's live lanes, packed into slots [0, active); the rest
  *  are null. */
-using PackedXs = std::array<const std::vector<double> *, kLanes>;
-using PackedGrads = std::array<std::vector<double> *, kLanes>;
+struct Packed
+{
+    std::array<const std::vector<double> *, kLanes> xs{};
+    std::array<std::vector<double> *, kLanes> grads{};
+    std::array<uint32_t, kLanes> sibling{};  //!< the slot's task
+};
 
 /** The costs one call's ticks run on, one per table width, each
- *  built on first use. */
+ *  built on first use over one arena. */
 struct WidthCosts
 {
+    const Matrix &target;
+    const std::vector<const Ansatz *> &siblings;
+    BatchedHsWorkspace &arena;
     std::optional<BatchedHsCost<1>> w1;
     std::optional<BatchedHsCost<2>> w2;
     std::optional<BatchedHsCost<4>> w4;
     std::optional<BatchedHsCost<kLanes>> w8;
-};
 
-/** Evaluate the first W packed slots on the W-lane cost; f[j]
- *  receives slot j's objective. */
-template <size_t W>
-void
-tickOn(std::optional<BatchedHsCost<W>> &cost, const Matrix &target,
-       const Ansatz &ansatz, const PackedXs &xs, const PackedGrads &grads,
-       std::array<double, kLanes> &f)
-{
-    if (!cost)
-        cost.emplace(target, ansatz);
-    std::array<const std::vector<double> *, W> xw{};
-    std::array<std::vector<double> *, W> gw{};
-    std::array<double, W> fw{};
-    std::copy_n(xs.begin(), W, xw.begin());
-    std::copy_n(grads.begin(), W, gw.begin());
-    cost->evaluateBatch(xw, fw, gw);
-    std::copy_n(fw.begin(), W, f.begin());
-}
+    /** Evaluate packed slots [from, from + W) on the W-lane cost;
+     *  f[j] receives slot j's objective. */
+    template <size_t W>
+    void
+    tick(std::optional<BatchedHsCost<W>> &cost, const Packed &p,
+         size_t from, std::array<double, kLanes> &f)
+    {
+        if (!cost)
+            cost.emplace(target, siblings, &arena);
+        std::array<const std::vector<double> *, W> xw{};
+        std::array<std::vector<double> *, W> gw{};
+        typename BatchedHsCost<W>::Siblings sw{};
+        std::array<double, W> fw{};
+        std::copy_n(p.xs.begin() + from, W, xw.begin());
+        std::copy_n(p.grads.begin() + from, W, gw.begin());
+        std::copy_n(p.sibling.begin() + from, W, sw.begin());
+        cost->evaluateBatch(xw, sw, fw, gw);
+        std::copy_n(fw.begin(), W, f.begin() + from);
+    }
+
+    /** One tick of @p width lanes over slots [0, width). */
+    void
+    tick(size_t width, const Packed &p, std::array<double, kLanes> &f)
+    {
+        switch (width) {
+          case 2:
+            tick(w2, p, 0, f);
+            break;
+          case 4:
+            tick(w4, p, 0, f);
+            break;
+          default:
+            tick(w8, p, 0, f);
+            break;
+        }
+    }
+};
 
 } // namespace
 
 void
-runBatchedMultistart(const Matrix &target, const Ansatz &ansatz,
-                     std::vector<Rng> &streams,
-                     const LbfgsOptions &lbfgsOptions,
-                     const InstantiaterOptions &options,
-                     const std::optional<std::vector<double>> &warm_start,
-                     std::vector<LbfgsResult> &results,
-                     std::vector<uint8_t> &computed)
+runBatchedMultistart(const Matrix &target, std::span<MultistartTask> tasks)
 {
     static auto &starts_counter =
         obs::MetricsRegistry::global().counter(names::kMetricSynthMultistarts);
@@ -94,22 +131,45 @@ runBatchedMultistart(const Matrix &target, const Ansatz &ansatz,
         obs::MetricsRegistry::global().counter(names::kMetricSynthBatchWidth);
     static auto &lane_refills = obs::MetricsRegistry::global().counter(
         names::kMetricSynthLaneRefills);
+    static auto &sibling_groups = obs::MetricsRegistry::global().counter(
+        names::kMetricSynthSiblingGroups);
 
     constexpr double pi = std::numbers::pi;
     constexpr size_t L = kLanes;
-    const int n_starts = static_cast<int>(results.size());
-    const int n_params = ansatz.paramCount();
-    if (n_starts > 1)
-        dispatchCounter(kern::batch::activeSimdIsa()).increment();
+    const size_t n_tasks = tasks.size();
+    if (n_tasks == 0)
+        return;
+    auto startsOf = [&](size_t t) {
+        return static_cast<int>(tasks[t].results.size());
+    };
+
+    std::vector<const Ansatz *> siblings;
+    size_t total_starts = 0;
+    for (size_t t = 0; t < n_tasks; ++t) {
+        siblings.push_back(tasks[t].ansatz);
+        total_starts += static_cast<size_t>(startsOf(t));
+        if (startsOf(t) > 1)
+            dispatchCounter(kern::batch::activeSimdIsa()).increment();
+    }
+    if (n_tasks > 1)
+        sibling_groups.increment();
 
     // Every tick runs on the narrowest cost that holds its live lanes:
     // idle lanes cost as much as live ones, so a narrower table does
     // the same per-lane work in less time. Per-lane bit-identity
-    // across lane counts (pinned by the kernel parity tests) makes the
-    // width invisible in every result.
-    WidthCosts costs;
+    // across lane counts and neighbours (pinned by the kernel parity
+    // tests) makes the width and the lane's siblings invisible in
+    // every result. All widths share one arena, sized up front for
+    // the widest tick the call can run (three parameters per U3), so
+    // it is allocated once.
+    BatchedHsWorkspace arena;
+    arena.ensure(target.rows(), tickWidth(std::min(total_starts, L)),
+                 static_cast<size_t>(tasks[0].ansatz->paramCount() / 3),
+                 n_tasks > 1);
+    WidthCosts costs{target, siblings, arena, {}, {}, {}, {}};
 
     std::array<std::optional<LbfgsMachine>, L> machines;
+    std::array<uint32_t, L> laneTask{};
     std::array<int, L> laneStart;
     laneStart.fill(-1);
     std::array<std::vector<double>, L> gradBuf;
@@ -117,121 +177,150 @@ runBatchedMultistart(const Matrix &target, const Ansatz &ansatz,
     // Tick tallies, flushed to the registry once per call.
     uint64_t ticks = 0, tick_lanes = 0, tick_width = 0, refills = 0;
 
-    // Lowest start index that reached the goal.
-    int stop_at = n_starts;
-    int next_pending = 0;
+    // Per task: the next start to launch and the lowest start index
+    // that reached the goal.
+    std::vector<int> next_pending(n_tasks, 0);
+    std::vector<int> stop_at(n_tasks);
+    for (size_t t = 0; t < n_tasks; ++t)
+        stop_at[t] = startsOf(t);
 
-    auto makeX0 = [&](int idx) {
-        std::vector<double> x0(static_cast<size_t>(n_params));
-        if (idx == 0 && warm_start) {
-            QUEST_ASSERT(warm_start->size() <= x0.size(),
+    auto makeX0 = [&](size_t t, int idx) {
+        MultistartTask &task = tasks[t];
+        std::vector<double> x0(
+            static_cast<size_t>(task.ansatz->paramCount()));
+        if (idx == 0 && task.warmStart) {
+            QUEST_ASSERT(task.warmStart->size() <= x0.size(),
                          "warm start larger than parameter vector");
-            std::copy(warm_start->begin(), warm_start->end(), x0.begin());
+            std::copy(task.warmStart->begin(), task.warmStart->end(),
+                      x0.begin());
             // Trailing new parameters remain zero (identity-ish U3s).
         } else {
             for (double &v : x0)
-                v = streams[static_cast<size_t>(idx)].uniform(-pi, pi);
+                v = task.streams[static_cast<size_t>(idx)].uniform(-pi, pi);
         }
         return x0;
     };
 
-    // Claim the next runnable pending start for a free lane. Starts
-    // past the earliest goal index are skipped (the reduction never
-    // reads them); a fired budget stops launching, leaving the rest
-    // uncomputed.
-    auto launch = [&](size_t lane) -> bool {
-        while (next_pending < n_starts) {
-            if (options.budget.exhausted())
+    // Claim task t's next runnable pending start for a free lane.
+    // Starts past the earliest goal index are skipped (the reduction
+    // never reads them); a fired budget stops launching, leaving the
+    // rest uncomputed.
+    auto launch = [&](size_t lane, size_t t) -> bool {
+        while (next_pending[t] < startsOf(t)) {
+            if (tasks[t].options->budget.exhausted())
                 return false;
-            const int idx = next_pending++;
-            if (idx > stop_at)
+            const int idx = next_pending[t]++;
+            if (idx > stop_at[t])
                 continue;
             starts_counter.increment();
+            laneTask[lane] = static_cast<uint32_t>(t);
             laneStart[lane] = idx;
-            machines[lane].emplace(makeX0(idx), lbfgsOptions);
+            machines[lane].emplace(makeX0(t, idx), tasks[t].lbfgs);
             return true;
         }
         return false;
     };
 
+    // Fill free lanes in task order. A task is admitted only when its
+    // first tick's worth of starts all fit, so they launch together
+    // and step in the same relative lockstep as alone; a task with
+    // more starts than lanes then refills its own retired lanes first,
+    // as it would alone.
+    auto fill = [&]() -> uint64_t {
+        size_t free = 0;
+        for (size_t lane = 0; lane < L; ++lane)
+            free += laneStart[lane] < 0 ? 1 : 0;
+        uint64_t launched = 0;
+        for (size_t t = 0; t < n_tasks && free > 0; ++t) {
+            if (next_pending[t] >= startsOf(t))
+                continue;
+            if (next_pending[t] == 0 &&
+                free < std::min(static_cast<size_t>(startsOf(t)), L))
+                continue;
+            for (size_t lane = 0; lane < L && free > 0; ++lane) {
+                if (laneStart[lane] >= 0)
+                    continue;
+                if (!launch(lane, t))
+                    break;
+                --free;
+                ++launched;
+            }
+        }
+        return launched;
+    };
+
     auto retire = [&](size_t lane) {
         LbfgsResult r = machines[lane]->takeResult();
+        MultistartTask &task = tasks[laneTask[lane]];
         const int idx = laneStart[lane];
-        const bool reached = r.value <= options.goal;
-        results[static_cast<size_t>(idx)] = std::move(r);
-        computed[static_cast<size_t>(idx)] = 1;
-        if (reached && idx < stop_at)
-            stop_at = idx;
+        const bool reached = r.value <= task.options->goal;
+        task.results[static_cast<size_t>(idx)] = std::move(r);
+        task.computed[static_cast<size_t>(idx)] = 1;
+        int &stop = stop_at[laneTask[lane]];
+        if (reached && idx < stop)
+            stop = idx;
         machines[lane].reset();
         laneStart[lane] = -1;
     };
 
-    for (size_t lane = 0; lane < L; ++lane) {
-        if (!launch(lane))
-            break;
-    }
-
     std::array<size_t, L> live{};
-    PackedXs xs;
-    PackedGrads grads;
+    Packed packed;
     std::array<double, L> fBuf{};
 
     // Lockstep drain. Bounded: every machine's per-iteration
     // options.budget poll (merged call budget) limits its lifetime to
     // maxIterations line searches of at most 40 trials, and retired
-    // lanes only refill from the finite pending list.
+    // lanes only refill from the finite pending lists.
     while (true) {
         QUEST_BOUNDED_LOOP("per-lane L-BFGS budget polls bound every machine");
-        // Drop lanes that can no longer affect the serial-order
-        // reduction: their start index is past the earliest goal, so
-        // their result would be discarded unread (computed stays 0).
+        // Drop lanes that can no longer affect their task's
+        // serial-order reduction: their start index is past the
+        // earliest goal, so their result would be discarded unread
+        // (computed stays 0). Other tasks may take the freed lanes.
         for (size_t lane = 0; lane < L; ++lane) {
-            if (machines[lane] && laneStart[lane] > stop_at) {
+            if (machines[lane] &&
+                laneStart[lane] > stop_at[laneTask[lane]]) {
                 machines[lane].reset();
                 laneStart[lane] = -1;
             }
         }
+        fill();
 
-        xs.fill(nullptr);
-        grads.fill(nullptr);
+        packed.xs.fill(nullptr);
+        packed.grads.fill(nullptr);
+        packed.sibling.fill(0);
         size_t active = 0;
         for (size_t lane = 0; lane < L; ++lane) {
             if (machines[lane]) {
                 live[active] = lane;
-                xs[active] = &machines[lane]->queryPoint();
-                grads[active] = &gradBuf[lane];
+                packed.xs[active] = &machines[lane]->queryPoint();
+                packed.grads[active] = &gradBuf[lane];
+                packed.sibling[active] = laneTask[lane];
                 ++active;
             }
         }
         if (active == 0)
             break;
 
-        const size_t width = std::bit_ceil(active);
-        switch (width) {
-          case 1:
-            tickOn(costs.w1, target, ansatz, xs, grads, fBuf);
-            break;
-          case 2:
-            tickOn(costs.w2, target, ansatz, xs, grads, fBuf);
-            break;
-          case 4:
-            tickOn(costs.w4, target, ansatz, xs, grads, fBuf);
-            break;
-          default:
-            tickOn(costs.w8, target, ansatz, xs, grads, fBuf);
-            break;
+        const size_t width = tickWidth(active);
+        if (width == 1) {
+            for (size_t j = 0; j < active; ++j)
+                costs.tick(costs.w1, packed, j, fBuf);
+            ticks += active;
+            tick_width += active;
+        } else {
+            costs.tick(width, packed, fBuf);
+            ++ticks;
+            tick_width += width;
         }
-        ++ticks;
         tick_lanes += active;
-        tick_width += width;
 
         for (size_t j = 0; j < active; ++j) {
             const size_t lane = live[j];
             machines[lane]->consume(fBuf[j], gradBuf[lane]);
             if (machines[lane]->done()) {
                 retire(lane);
-                if (launch(lane))
-                    ++refills;
+                refills += fill();
             }
         }
     }

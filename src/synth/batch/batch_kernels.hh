@@ -96,12 +96,6 @@ struct BatchKernelSet
     void (*leftCx)(size_t dim, double *mRe, double *mIm, size_t bc,
                    size_t bt);
 
-    /** dst <- embed(CX, ...) * src, per lane (a row gather); src and
-     *  dst must not alias. */
-    void (*leftCxOut)(size_t dim, double *dstRe, double *dstIm,
-                      const double *srcRe, const double *srcIm, size_t bc,
-                      size_t bt);
-
     /**
      * Per-lane trace contraction of W = P * B down to the wire's
      * 2x2: with bt the TRANSPOSE of B (so B's columns are bt's

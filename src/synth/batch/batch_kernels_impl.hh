@@ -179,30 +179,6 @@ struct Bodies
     }
 
     static void
-    leftCxOut(size_t dimArg, double *dstRe, double *dstIm,
-              const double *srcRe, const double *srcIm, size_t bc,
-              size_t bt)
-    {
-        // Fused copy + leftCx: a CX permutes rows, so the next slice
-        // is a gather — dst row r reads src row (r ^ bt) when the
-        // control bit is set, row r otherwise. Pure copies, trivially
-        // bit-identical to copy-then-swap.
-        const size_t dim = D ? D : dimArg;
-        const size_t rowL = dim * L;
-        for (size_t r = 0; r < dim; ++r) {
-            const size_t src = (r & bc) ? (r ^ bt) : r;
-            const double *sRe = srcRe + src * rowL;
-            const double *sIm = srcIm + src * rowL;
-            double *dRe = dstRe + r * rowL;
-            double *dIm = dstIm + r * rowL;
-            for (size_t off = 0; off < rowL; off += W) {
-                V::store(dRe + off, V::load(sRe + off));
-                V::store(dIm + off, V::load(sIm + off));
-            }
-        }
-    }
-
-    static void
     reduceTraceT(size_t dimArg, const double *pRe, const double *pIm,
                  const double *btRe, const double *btIm, size_t bit,
                  double *w2Re, double *w2Im)
@@ -296,8 +272,8 @@ constexpr BatchKernelSet
 makeSet()
 {
     using B = Bodies<V, L, D>;
-    return {&B::leftU3,    &B::leftU3Out,    &B::leftCx,
-            &B::leftCxOut, &B::reduceTraceT, &B::traceTarget};
+    return {&B::leftU3, &B::leftU3Out, &B::leftCx, &B::reduceTraceT,
+            &B::traceTarget};
 }
 
 /** The per-dim dispatch for one (policy, lane count): specialized

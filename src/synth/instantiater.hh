@@ -5,11 +5,13 @@
  *
  * Multistarts are independent, so they run lane-lockstep through the
  * batched cost on the calling thread (synth/batch/
- * batch_instantiate.hh). Determinism is preserved by construction:
- * every start gets its own RNG stream, split serially up front, each
- * start's iterates do not depend on which lane or lane count
- * evaluated it, and the best-of reduction replays the serial order's
- * selection (including the first-to-goal early stop).
+ * batch_instantiate.hh) — those of one call, or of a group of sibling
+ * calls (instantiateSiblings). Determinism is preserved by
+ * construction: every start gets its own RNG stream, split serially
+ * up front, each start's iterates do not depend on which lane or lane
+ * count evaluated it or on its neighbours, and the best-of reduction
+ * replays the serial order's selection (including the first-to-goal
+ * early stop) task by task.
  */
 
 #ifndef QUEST_SYNTH_INSTANTIATER_HH
@@ -17,6 +19,7 @@
 
 #include <cmath>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.hh"
@@ -65,6 +68,28 @@ instantiate(const Matrix &target, const Ansatz &ansatz, Rng &rng,
             const InstantiaterOptions &options = {},
             const std::optional<std::vector<double>> &warm_start =
                 std::nullopt);
+
+/** One instantiate() call of a sibling group: its arguments, with
+ *  @p warmStart null for none. */
+struct InstantiationTask
+{
+    const Ansatz &ansatz;
+    Rng &rng;
+    const InstantiaterOptions &options;
+    const std::vector<double> *warmStart = nullptr;
+};
+
+/**
+ * Instantiate sibling ansätze (Ansatz::isSiblingOf — the successors
+ * of one LEAP frontier node) against one target in one lane-lockstep
+ * run, so their starts fill the batch together. Each task keeps its
+ * own RNG streams, options, warm start, early stop and reduction:
+ * results[i] is bit-identical to instantiate() on tasks[i] alone.
+ * instantiate() is the one-task case.
+ */
+std::vector<InstantiationResult>
+instantiateSiblings(const Matrix &target,
+                    std::span<const InstantiationTask> tasks);
 
 } // namespace quest
 

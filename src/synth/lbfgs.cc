@@ -118,22 +118,22 @@ LbfgsMachine::beginIteration()
 
     // Two-loop recursion: direction = -H g.
     direction = grad;
-    alpha_buf.assign(history.size(), 0.0);
-    for (size_t h = history.size(); h-- > 0;) {
-        const Pair &p = history[h];
+    alpha_buf.assign(pairs, 0.0);
+    for (size_t h = pairs; h-- > 0;) {
+        const Pair &p = pairAt(h);
         double a = p.rho * dot(p.s, direction);
         alpha_buf[h] = a;
         for (size_t i = 0; i < n; ++i)
             direction[i] -= a * p.y[i];
     }
-    if (!history.empty()) {
-        const Pair &last = history.back();
+    if (pairs > 0) {
+        const Pair &last = pairAt(pairs - 1);
         double gamma = dot(last.s, last.y) / dot(last.y, last.y);
         for (double &d : direction)
             d *= gamma;
     }
-    for (size_t h = 0; h < history.size(); ++h) {
-        const Pair &p = history[h];
+    for (size_t h = 0; h < pairs; ++h) {
+        const Pair &p = pairAt(h);
         double beta = p.rho * dot(p.y, direction);
         for (size_t i = 0; i < n; ++i)
             direction[i] += p.s[i] * (alpha_buf[h] - beta);
@@ -144,7 +144,8 @@ LbfgsMachine::beginIteration()
     dir_deriv = dot(grad, direction);
     if (dir_deriv >= 0.0) {
         // Not a descent direction: reset to steepest descent.
-        history.clear();
+        oldest = 0;
+        pairs = 0;
         for (size_t i = 0; i < n; ++i)
             direction[i] = -grad[i];
         dir_deriv = -dot(grad, grad);
@@ -193,7 +194,7 @@ LbfgsMachine::consume(double fval, std::vector<double> &g)
     grad_new.swap(g);
     constexpr double c1 = 1e-4;
     if (f_new <= f + c1 * step * dir_deriv) {
-        Pair p;
+        Pair &p = spare;
         p.s.resize(n);
         p.y.resize(n);
         for (size_t i = 0; i < n; ++i) {
@@ -201,11 +202,26 @@ LbfgsMachine::consume(double fval, std::vector<double> &g)
             p.y[i] = grad_new[i] - grad[i];
         }
         double sy = dot(p.s, p.y);
-        if (sy > 1e-12) {
+        const size_t cap =
+            static_cast<size_t>(std::max(options.historySize, 0));
+        if (sy > 1e-12 && cap > 0) {
             p.rho = 1.0 / sy;
-            history.push_back(std::move(p));
-            if (static_cast<int>(history.size()) > options.historySize)
-                history.pop_front();
+            // The slot after the newest pair, which is the oldest one
+            // when the ring is full; spare takes its buffers. Slots
+            // fill from 0 up before the ring first wraps (a reset
+            // restarts at slot 0), so a new slot is always the next
+            // one to append.
+            const size_t slot = (oldest + pairs) % cap;
+            if (slot == history.size()) {
+                history.push_back(std::move(p));
+                p = Pair{};
+            } else {
+                std::swap(p, history[slot]);
+            }
+            if (pairs < cap)
+                ++pairs;
+            else
+                oldest = (oldest + 1) % cap;
         }
 
         double f_old = f;

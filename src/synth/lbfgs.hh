@@ -14,7 +14,6 @@
 #ifndef QUEST_SYNTH_LBFGS_HH
 #define QUEST_SYNTH_LBFGS_HH
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -107,6 +106,13 @@ class LbfgsMachine
     void proposeTrial();
     void finishWithValue();
 
+    /** The h-th curvature pair, oldest first. */
+    const Pair &
+    pairAt(size_t h) const
+    {
+        return history[(oldest + h) % history.size()];
+    }
+
     LbfgsOptions options;
     LbfgsResult result;
     Phase phase = Phase::AwaitInitial;
@@ -117,7 +123,16 @@ class LbfgsMachine
 
     double f = 0.0;
     std::vector<double> grad;
-    std::deque<Pair> history;
+    /**
+     * The last historySize curvature pairs, a ring: pairs pairs from
+     * slot oldest on. A new pair is built in spare and swapped into
+     * its slot, so an evicted pair's buffers carry the next one and
+     * accepted steps stop allocating once the ring is full.
+     */
+    std::vector<Pair> history;
+    size_t oldest = 0;
+    size_t pairs = 0;
+    Pair spare;
     std::vector<double> direction, x_new, grad_new, alpha_buf;
 
     // Line-search state.

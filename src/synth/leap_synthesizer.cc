@@ -242,7 +242,8 @@ LeapSynthesizer::synthesize(const Matrix &target, int max_cnots,
     // is safe even from inside the caller's own parallelFor), else a
     // private pool of cfg.threads - 1 workers — the calling thread
     // participates, so cfg.threads is the total busy-thread count.
-    // Each task's multistarts run lane-lockstep on the task's thread.
+    // Each sibling group's multistarts run lane-lockstep on the
+    // group's thread.
     ThreadPool *pool = cfg.pool;
     std::optional<ThreadPool> local_pool;
     if (!pool && cfg.threads > 1) {
@@ -366,26 +367,49 @@ LeapSynthesizer::synthesize(const Matrix &target, int max_cnots,
         }
 
         tasks_counter.add(tasks.size());
+        // Group the tasks into sibling sets (Ansatz::isSiblingOf): the
+        // children of one frontier node, plus any lineage whose node
+        // has that node's structure. Each group is one lane-lockstep
+        // instantiation, and each task's result is what instantiating
+        // it alone would give, so the grouping never shows in the
+        // output.
+        std::vector<std::vector<size_t>> groups;
+        for (size_t i = 0; i < tasks.size(); ++i) {
+            auto group = std::find_if(
+                groups.begin(), groups.end(), [&](const auto &g) {
+                    return tasks[g.front()].ansatz.isSiblingOf(
+                        tasks[i].ansatz);
+                });
+            if (group == groups.end())
+                groups.push_back({i});
+            else
+                group->push_back(i);
+        }
         std::vector<Node> children(tasks.size(),
                                    Node{Ansatz(n), {}, 1.0});
-        auto run_task = [&](size_t i) {
-            Task &t = tasks[i];
-            std::optional<std::vector<double>> warm;
-            if (t.warm)
-                warm = *t.warm;
-            InstantiationResult r =
-                instantiate(target, t.ansatz, t.rng,
-                            t.isBrick ? brick_inst : inst, warm);
-            children[i] = {std::move(t.ansatz), std::move(r.params),
-                           r.distance};
+        auto run_group = [&](size_t g) {
+            std::vector<InstantiationTask> batch;
+            for (size_t i : groups[g]) {
+                Task &t = tasks[i];
+                batch.push_back({t.ansatz, t.rng,
+                                 t.isBrick ? brick_inst : inst, t.warm});
+            }
+            std::vector<InstantiationResult> results =
+                instantiateSiblings(target, batch);
+            for (size_t k = 0; k < groups[g].size(); ++k) {
+                const size_t i = groups[g][k];
+                children[i] = {std::move(tasks[i].ansatz),
+                               std::move(results[k].params),
+                               results[k].distance};
+            }
         };
         if (pool) {
-            pool->parallelFor(tasks.size(), run_task, cfg.budget.cancel);
+            pool->parallelFor(groups.size(), run_group, cfg.budget.cancel);
         } else {
-            for (size_t i = 0; i < tasks.size(); ++i) {
+            for (size_t g = 0; g < groups.size(); ++g) {
                 if (cfg.budget.exhausted())
                     break;
-                run_task(i);
+                run_group(g);
             }
         }
         // A fired budget can leave unclaimed tasks untouched

@@ -109,6 +109,8 @@ inline constexpr const char kMetricSynthBatchWidth[] =
     "synth.batch_width";
 inline constexpr const char kMetricSynthLaneRefills[] =
     "synth.lane_refills";
+inline constexpr const char kMetricSynthSiblingGroups[] =
+    "synth.sibling_groups";
 inline constexpr const char kMetricSynthSimdDispatchAvx512[] =
     "synth.simd_dispatch.avx512";
 inline constexpr const char kMetricSynthSimdDispatchAvx2[] =

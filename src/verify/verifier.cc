@@ -109,7 +109,13 @@ CircuitVerifier::verify(const Circuit &circuit) const
 
     for (size_t i = 0; i < circuit.size(); ++i) {
         const Gate &g = circuit[i];
-        const std::string rendered = g.toString();
+        // Issue messages lead with the gate's rendering; build it only
+        // when an issue is recorded (a clean gate never renders).
+        const auto flag = [&](const auto &...parts) {
+            if (report.issues.size() < cap)
+                pushIssue(report, cap, i,
+                          detail::concat(g.toString(), parts...));
+        };
 
         // Arity: Barrier is variadic (>= 1 wire); everything else
         // must match its GateType exactly.
@@ -119,11 +125,8 @@ CircuitVerifier::verify(const Circuit &circuit) const
                 pushIssue(report, cap, i, "barrier with no wires");
             }
         } else if (arity != gateArity(g.type)) {
-            pushIssue(report, cap, i,
-                      detail::concat(rendered, " — arity ", arity,
-                                     " does not match ",
-                                     gateName(g.type), "'s arity of ",
-                                     gateArity(g.type)));
+            flag(" — arity ", arity, " does not match ", gateName(g.type),
+                 "'s arity of ", gateArity(g.type));
         }
 
         // Wires: in range and pairwise distinct (a CX whose control
@@ -132,19 +135,13 @@ CircuitVerifier::verify(const Circuit &circuit) const
         for (int q : g.qubits) {
             if (q < 0 || q >= n) {
                 wires_in_range = false;
-                pushIssue(report, cap, i,
-                          detail::concat(rendered, " — wire ", q,
-                                         " outside circuit of ", n,
-                                         " qubits"));
+                flag(" — wire ", q, " outside circuit of ", n, " qubits");
             }
         }
         for (size_t a = 0; a < g.qubits.size(); ++a) {
             for (size_t b = a + 1; b < g.qubits.size(); ++b) {
                 if (g.qubits[a] == g.qubits[b]) {
-                    pushIssue(report, cap, i,
-                              detail::concat(rendered,
-                                             " — duplicate wire ",
-                                             g.qubits[a]));
+                    flag(" — duplicate wire ", g.qubits[a]);
                 }
             }
         }
@@ -152,33 +149,23 @@ CircuitVerifier::verify(const Circuit &circuit) const
         // Parameters: correct count, all finite.
         if (static_cast<int>(g.params.size()) !=
             gateParamCount(g.type)) {
-            pushIssue(report, cap, i,
-                      detail::concat(rendered, " — ", g.params.size(),
-                                     " parameters; ", gateName(g.type),
-                                     " takes ",
-                                     gateParamCount(g.type)));
+            flag(" — ", g.params.size(), " parameters; ", gateName(g.type),
+                 " takes ", gateParamCount(g.type));
         }
         for (double p : g.params) {
             if (!std::isfinite(p)) {
-                pushIssue(report, cap, i,
-                          detail::concat(rendered,
-                                         " — non-finite parameter"));
+                flag(" — non-finite parameter");
                 break;
             }
         }
 
         // Gate-set restrictions.
         if (!opts.allowPseudoOps && isPseudoOp(g.type)) {
-            pushIssue(report, cap, i,
-                      detail::concat(rendered,
-                                     " — pseudo-op not allowed here"));
+            flag(" — pseudo-op not allowed here");
         }
         if (opts.requireNative && g.type != GateType::U3 &&
             g.type != GateType::CX && g.type != GateType::Measure) {
-            pushIssue(report, cap, i,
-                      detail::concat(rendered, " — ", gateName(g.type),
-                                     " outside the native {u3, cx} "
-                                     "set"));
+            flag(" — ", gateName(g.type), " outside the native {u3, cx} set");
         }
 
         // Measurement discipline: measurements form a trailing
@@ -190,20 +177,14 @@ CircuitVerifier::verify(const Circuit &circuit) const
             const int q = g.qubits.empty() ? -1 : g.qubits[0];
             if (wires_in_range && q >= 0) {
                 if (measured[static_cast<size_t>(q)]) {
-                    pushIssue(report, cap, i,
-                              detail::concat(rendered,
-                                             " — wire ", q,
-                                             " measured twice"));
+                    flag(" — wire ", q, " measured twice");
                 }
                 measured[static_cast<size_t>(q)] = true;
             }
         } else if (in_measurement_suffix &&
                    g.type != GateType::Barrier) {
-            pushIssue(report, cap, i,
-                      detail::concat(rendered,
-                                     " — gate after a measurement "
-                                     "(measurements must be a "
-                                     "trailing suffix)"));
+            flag(" — gate after a measurement (measurements must be a "
+                 "trailing suffix)");
         }
     }
 

@@ -22,6 +22,8 @@
 #include "ir/qasm.hh"
 #include "obs/metrics.hh"
 #include "quest/pipeline.hh"
+#include "resilience/budget.hh"
+#include "synth/batch/batch_kernels.hh"
 #include "synth/batch/batch_instantiate.hh"
 #include "synth/batch/batched_hs_cost.hh"
 #include "synth/instantiater.hh"
@@ -234,6 +236,39 @@ serialReference(const Matrix &target, const Ansatz &a, double goal,
                       goal);
 }
 
+/**
+ * A driver task for @p starts starts of @p a from Rng(@p seed), set
+ * up as instantiateSiblings() sets up each task (@p opts must
+ * outlive it).
+ */
+synth::MultistartTask
+driverTask(const Ansatz &a, const InstantiaterOptions &opts, uint64_t seed,
+           int starts, const std::vector<double> *warm = nullptr)
+{
+    synth::MultistartTask task;
+    task.ansatz = &a;
+    task.options = &opts;
+    task.lbfgs = opts.lbfgs;
+    Rng rng(seed);
+    task.streams = rng.splitN(static_cast<size_t>(starts));
+    task.warmStart = warm;
+    task.results.resize(static_cast<size_t>(starts));
+    task.computed.assign(static_cast<size_t>(starts), 0);
+    return task;
+}
+
+/** True when every multi-lane table is SIMD; otherwise the driver
+ *  ticks one lane at a time. */
+bool
+simdTicks()
+{
+    using kern::batch::SimdIsa;
+    return kern::batch::activeSimdIsaFor<2>() != SimdIsa::Scalar &&
+           kern::batch::activeSimdIsaFor<4>() != SimdIsa::Scalar &&
+           kern::batch::activeSimdIsaFor<kern::batch::kLanes>() !=
+               SimdIsa::Scalar;
+}
+
 /** Bitwise equality of two L-BFGS runs. */
 void
 expectSameRun(const LbfgsResult &got, const LbfgsResult &want,
@@ -310,15 +345,12 @@ TEST(Determinism, MultistartDriverMatchesEachStartAloneAtEveryWidth)
         const std::vector<LbfgsResult> alone =
             eachStartAlone(target, a, 42, starts, opts.lbfgs);
 
-        Rng rng(42);
-        std::vector<Rng> streams =
-            rng.splitN(static_cast<size_t>(starts));
-        std::vector<LbfgsResult> results(static_cast<size_t>(starts));
-        std::vector<uint8_t> computed(static_cast<size_t>(starts), 0);
+        synth::MultistartTask task = driverTask(a, opts, 42, starts);
+        const std::vector<LbfgsResult> &results = task.results;
+        const std::vector<uint8_t> &computed = task.computed;
         const uint64_t ticks0 = ticks.value(), lanes0 = lanes.value();
         const uint64_t width0 = width.value(), evals0 = evals.value();
-        synth::runBatchedMultistart(target, a, streams, opts.lbfgs, opts,
-                                    std::nullopt, results, computed);
+        synth::runBatchedMultistart(target, {&task, 1});
         const uint64_t dTicks = ticks.value() - ticks0;
         const uint64_t dLanes = lanes.value() - lanes0;
         const uint64_t dWidth = width.value() - width0;
@@ -331,15 +363,22 @@ TEST(Determinism, MultistartDriverMatchesEachStartAloneAtEveryWidth)
                           alone[static_cast<size_t>(i)], where);
         }
 
-        // Every live lane of every tick is one L-BFGS evaluation; the
-        // widths are the narrowest powers of two holding them.
+        // Every live lane of every tick is one L-BFGS evaluation. On
+        // SIMD tables the widths are the narrowest powers of two
+        // holding them; where the multi-lane tables are scalar-lane
+        // loops, every tick is a 1-lane tick.
         EXPECT_EQ(dLanes, evals.value() - evals0) << starts;
-        EXPECT_GE(dWidth, dLanes) << starts;
-        EXPECT_LT(dWidth, 2 * dLanes) << starts;
-        EXPECT_LE(dTicks, dLanes) << starts;
-        if (starts == 9) {
-            EXPECT_GT(dWidth, dTicks) << "no multi-lane tick";
-            EXPECT_LT(dWidth, 8 * dTicks) << "no narrow tick";
+        if (!simdTicks()) {
+            EXPECT_EQ(dWidth, dLanes) << starts;
+            EXPECT_EQ(dTicks, dLanes) << starts;
+        } else {
+            EXPECT_GE(dWidth, dLanes) << starts;
+            EXPECT_LT(dWidth, 2 * dLanes) << starts;
+            EXPECT_LE(dTicks, dLanes) << starts;
+            if (starts == 9) {
+                EXPECT_GT(dWidth, dTicks) << "no multi-lane tick";
+                EXPECT_LT(dWidth, 8 * dTicks) << "no narrow tick";
+            }
         }
 
         opts.multistarts = starts;
@@ -376,13 +415,10 @@ TEST(Determinism, MultistartDriverMatchesEachStartAloneWithWarmStart)
                 firstGoal = i;
         stoppedEarly |= firstGoal + 1 < starts;
 
-        Rng rng(42);
-        std::vector<Rng> streams =
-            rng.splitN(static_cast<size_t>(starts));
-        std::vector<LbfgsResult> results(static_cast<size_t>(starts));
-        std::vector<uint8_t> computed(static_cast<size_t>(starts), 0);
-        synth::runBatchedMultistart(target, a, streams, opts.lbfgs, opts,
-                                    warm, results, computed);
+        synth::MultistartTask task = driverTask(a, opts, 42, starts, &warm);
+        const std::vector<LbfgsResult> &results = task.results;
+        const std::vector<uint8_t> &computed = task.computed;
+        synth::runBatchedMultistart(target, {&task, 1});
 
         // Every start up to the first that reached the goal must run;
         // later ones may be dropped, but any that finished must match.
@@ -404,6 +440,121 @@ TEST(Determinism, MultistartDriverMatchesEachStartAloneWithWarmStart)
                          serialBest(alone, opts.goal));
     }
     EXPECT_TRUE(stoppedEarly) << "no start reached the goal early";
+}
+
+TEST(Determinism, SiblingGroupMatchesEachTaskAlone)
+{
+    // Seven siblings of one frontier node (the last a duplicate pair,
+    // as a lineage with the node's structure can be), each with its
+    // own options — 2 starts capped at 300 iterations or 4 at 600,
+    // as LEAP's node and lineage tasks — its own RNG and, for some,
+    // a warm start. The target is the first sibling's, so its starts
+    // reach the goal and stop early. Every prefix of 1..7 tasks run
+    // as one group must give each task exactly instantiate()'s
+    // result on it alone, with the same start and evaluation counts.
+    Ansatz parent = Ansatz::initialLayer(3);
+    parent.addLayer(0, 1);
+    parent.addLayer(1, 2);
+    const std::pair<int, int> pairs[] = {{2, 0}, {0, 1}, {1, 2}, {0, 2},
+                                         {1, 0}, {2, 1}, {2, 0}};
+    std::vector<Ansatz> kids;
+    for (auto [a, b] : pairs) {
+        kids.push_back(parent);
+        kids.back().addLayer(a, b);
+    }
+    const Matrix target = reachableTarget(kids[0]);
+    Rng wrng(17);
+    std::vector<double> warm(static_cast<size_t>(parent.paramCount()));
+    for (double &v : warm)
+        v = wrng.uniform(-pi, pi);
+    std::vector<InstantiaterOptions> opts(kids.size());
+    for (size_t k = 0; k < kids.size(); ++k) {
+        const bool lineage = k % 3 == 2;
+        opts[k].multistarts = lineage ? 4 : 2;
+        opts[k].lbfgs.maxIterations = lineage ? 600 : 300;
+        opts[k].goal = 1e-10;
+    }
+    auto warmOf = [&](size_t k) { return k % 2 == 0 ? &warm : nullptr; };
+
+    auto &reg = obs::MetricsRegistry::global();
+    auto &starts = reg.counter(names::kMetricSynthMultistarts);
+    auto &evals = reg.counter(names::kMetricLbfgsEvaluations);
+    auto &groups = reg.counter(names::kMetricSynthSiblingGroups);
+    auto &early = reg.counter(names::kMetricSynthEarlyStops);
+    const uint64_t early0 = early.value();
+    for (size_t count = 1; count <= kids.size(); ++count) {
+        std::vector<InstantiationResult> alone;
+        const uint64_t starts0 = starts.value(), evals0 = evals.value();
+        for (size_t k = 0; k < count; ++k) {
+            Rng rng(100 + k);
+            std::optional<std::vector<double>> w;
+            if (warmOf(k))
+                w = *warmOf(k);
+            alone.push_back(instantiate(target, kids[k], rng, opts[k], w));
+        }
+        const uint64_t aloneStarts = starts.value() - starts0;
+        const uint64_t aloneEvals = evals.value() - evals0;
+
+        std::vector<Rng> rngs;
+        for (size_t k = 0; k < count; ++k)
+            rngs.emplace_back(100 + k);
+        std::vector<InstantiationTask> tasks;
+        for (size_t k = 0; k < count; ++k)
+            tasks.push_back({kids[k], rngs[k], opts[k], warmOf(k)});
+        const uint64_t starts1 = starts.value(), evals1 = evals.value();
+        const uint64_t groups1 = groups.value();
+        const std::vector<InstantiationResult> together =
+            instantiateSiblings(target, tasks);
+
+        ASSERT_EQ(together.size(), count);
+        for (size_t k = 0; k < count; ++k) {
+            SCOPED_TRACE("tasks=" + std::to_string(count) +
+                         " task=" + std::to_string(k));
+            expectSameResult(together[k], alone[k]);
+        }
+        EXPECT_EQ(starts.value() - starts1, aloneStarts) << count;
+        EXPECT_EQ(evals.value() - evals1, aloneEvals) << count;
+        EXPECT_EQ(groups.value() - groups1, count > 1 ? 1u : 0u);
+    }
+    EXPECT_GT(early.value(), early0) << "no task stopped early";
+}
+
+TEST(Determinism, SiblingGroupWithAFiredBudgetMatchesEachTaskAlone)
+{
+    // One task's budget has already fired: it launches nothing and
+    // reports the diverged result, while its siblings run as alone.
+    Ansatz parent = Ansatz::initialLayer(2);
+    parent.addLayer(0, 1);
+    std::vector<Ansatz> kids(3, parent);
+    kids[0].addLayer(1, 0);
+    kids[1].addLayer(0, 1);
+    kids[2].addLayer(1, 0);
+    const Matrix target = reachableTarget(kids[0]);
+    resilience::CancelToken fired;
+    fired.cancel();
+    std::vector<InstantiaterOptions> opts(kids.size());
+    for (InstantiaterOptions &o : opts) {
+        o.multistarts = 2;
+        o.lbfgs.maxIterations = 300;
+    }
+    opts[1].budget = resilience::Budget(resilience::Deadline(), &fired);
+
+    std::vector<Rng> rngs;
+    std::vector<InstantiationTask> tasks;
+    for (size_t k = 0; k < kids.size(); ++k)
+        rngs.emplace_back(200 + k);
+    for (size_t k = 0; k < kids.size(); ++k)
+        tasks.push_back({kids[k], rngs[k], opts[k]});
+    const std::vector<InstantiationResult> together =
+        instantiateSiblings(target, tasks);
+    for (size_t k = 0; k < kids.size(); ++k) {
+        SCOPED_TRACE("task=" + std::to_string(k));
+        Rng rng(200 + k);
+        expectSameResult(together[k],
+                         instantiate(target, kids[k], rng, opts[k]));
+    }
+    EXPECT_TRUE(together[1].diverged());
+    EXPECT_FALSE(together[0].diverged());
 }
 
 TEST(Determinism, DualAnnealingSameSeed)

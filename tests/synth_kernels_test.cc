@@ -9,8 +9,10 @@
  * lane by lane; the fused U3+derivative
  * evaluation is checked against the reference factories, and the
  * cost's gradient against finite differences and the dense
- * reference (dense_ansatz.hh). A global operator-new probe asserts
- * the zero-allocation contract of evaluation after warm-up.
+ * reference (dense_ansatz.hh); sibling costs must match each child's
+ * 1-lane cost lane by lane. A global operator-new probe asserts the
+ * zero-allocation contract of evaluation and of L-BFGS steps after
+ * warm-up.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <numbers>
 #include <string>
@@ -34,6 +37,7 @@
 #include "synth/ansatz.hh"
 #include "synth/batch/batch_kernels.hh"
 #include "synth/batch/batched_hs_cost.hh"
+#include "synth/lbfgs.hh"
 #include "util/rng.hh"
 
 // ---------------------------------------------------------------------
@@ -765,13 +769,7 @@ TEST(BatchKernels, LeftCxMatchesScalarBitExact)
                         continue;
                     const std::vector<Matrix> ms = laneMatrices(dim, rng);
                     Planes m = packLanes(ms);
-                    Planes o{std::vector<double>(m.re.size()),
-                             std::vector<double>(m.im.size())};
-                    bk->leftCxOut(dim, o.re.data(), o.im.data(),
-                                  m.re.data(), m.im.data(), bc, bt);
                     bk->leftCx(dim, m.re.data(), m.im.data(), bc, bt);
-                    EXPECT_EQ(o.re, m.re);
-                    EXPECT_EQ(o.im, m.im);
                     for (size_t l = 0; l < kL; ++l) {
                         Planes ref = split(ms[l]);
                         oneLane(dim).leftCx(dim, ref.re.data(),
@@ -938,6 +936,164 @@ TEST(BatchedHsCostSuite, EvaluateMatchesScalarBitExactAllLaneCounts)
     }
 }
 
+/**
+ * Up to four siblings of testAnsatz(n): the same prefix plus one
+ * final layer each, on different ordered wire pairs.
+ */
+std::vector<Ansatz>
+siblingsOf(int n)
+{
+    std::vector<std::pair<int, int>> pairs;
+    for (int a = 0; a < n && pairs.size() < 4; ++a)
+        pairs.emplace_back(a, (a + 1) % n);
+    if (n > 2 && pairs.size() < 4)
+        pairs.emplace_back(0, 2);
+    std::vector<Ansatz> kids;
+    for (auto [a, b] : pairs) {
+        kids.push_back(testAnsatz(n));
+        kids.back().addLayer(a, b);
+    }
+    return kids;
+}
+
+/**
+ * Evaluate every live-lane count 1..W through one W-lane sibling
+ * cost (kernel table @p k, or the dispatched one when null), with the
+ * live lanes spread over the siblings — mixed ticks that run each
+ * lane's final layer on its own — and once with every lane on the
+ * last sibling (a lane-uniform tick of a sibling other than the
+ * first). Each live lane's value and gradient must equal its
+ * sibling's own 1-lane cost bit for bit.
+ */
+template <size_t W>
+void
+expectSiblingsMatchEachChild(const kern::batch::BatchKernelSet *k,
+                             const std::vector<Ansatz> &kids,
+                             const Matrix &target, Rng &rng,
+                             const std::string &where)
+{
+    std::vector<const Ansatz *> ptrs;
+    std::vector<std::unique_ptr<HsCost>> refs;
+    for (const Ansatz &kid : kids) {
+        ptrs.push_back(&kid);
+        refs.push_back(std::make_unique<HsCost>(target, kid));
+    }
+    synth::BatchedHsCost<W> cost(target, ptrs);
+    if (k)
+        cost.useKernels(*k);
+    const size_t nKids = kids.size();
+    for (size_t live = 1; live <= W + 1; ++live) {
+        const bool uniform = live == W + 1;
+        const size_t lanes = uniform ? W : live;
+        std::array<std::vector<double>, W> xsStore;
+        std::array<const std::vector<double> *, W> xs{};
+        std::array<std::vector<double>, W> gradStore;
+        std::array<std::vector<double> *, W> grads{};
+        typename synth::BatchedHsCost<W>::Siblings sibling{};
+        for (size_t l = 0; l < lanes; ++l) {
+            xsStore[l].resize(static_cast<size_t>(cost.paramCount()));
+            for (double &v : xsStore[l])
+                v = rng.uniform(-pi, pi);
+            xs[l] = &xsStore[l];
+            grads[l] = &gradStore[l];
+            sibling[l] = static_cast<uint32_t>(
+                uniform ? nKids - 1 : (l + live) % nKids);
+        }
+        std::array<double, W> f{};
+        cost.evaluateBatch(xs, sibling, f, grads);
+
+        for (size_t l = 0; l < lanes; ++l) {
+            const std::string at = where + " live=" + std::to_string(live) +
+                                   " lane=" + std::to_string(l) +
+                                   " sibling=" + std::to_string(sibling[l]);
+            std::vector<double> refGrad;
+            const double refF =
+                refs[sibling[l]]->evaluate(xsStore[l], refGrad);
+            EXPECT_EQ(f[l], refF) << at;
+            ASSERT_EQ(gradStore[l].size(), refGrad.size()) << at;
+            for (size_t i = 0; i < refGrad.size(); ++i)
+                EXPECT_EQ(gradStore[l][i], refGrad[i]) << at << " param=" << i;
+        }
+    }
+}
+
+TEST(BatchedHsCostSuite, SiblingLanesMatchEachChildBitExact)
+{
+    // Dims 4..32: the specialized kernels and the generic-dim ones,
+    // on every table and width, the 1-lane sibling cost included.
+    for (int n = 2; n <= 5; ++n) {
+        Rng rng(650 + static_cast<uint64_t>(n));
+        const std::vector<Ansatz> kids = siblingsOf(n);
+        std::vector<double> truth(kids[0].paramCount());
+        for (double &v : truth)
+            v = rng.uniform(-pi, pi);
+        const Matrix target = denseUnitary(kids[0], truth);
+        const std::string where = "n=" + std::to_string(n);
+
+        expectSiblingsMatchEachChild<1>(nullptr, kids, target, rng,
+                                        "1-lane " + where);
+        for (const WideTable &t : wideTables(target.rows())) {
+            const std::string at = t.name + " " + where;
+            switch (t.lanes) {
+              case 2:
+                expectSiblingsMatchEachChild<2>(t.kernels, kids, target,
+                                                rng, at);
+                break;
+              case 4:
+                expectSiblingsMatchEachChild<4>(t.kernels, kids, target,
+                                                rng, at);
+                break;
+              default:
+                expectSiblingsMatchEachChild<kL>(t.kernels, kids, target,
+                                                 rng, at);
+                break;
+            }
+        }
+    }
+}
+
+TEST(BatchedHsCostSuite, WidthsShareOneArena)
+{
+    // The driver's costs of every width share one arena sized by the
+    // widest: narrower costs built over it never grow it, and
+    // evaluation through it stays allocation-free.
+    Rng rng(660);
+    const std::vector<Ansatz> kids = siblingsOf(3);
+    std::vector<const Ansatz *> ptrs;
+    for (const Ansatz &kid : kids)
+        ptrs.push_back(&kid);
+    const Matrix target = denseUnitary(
+        kids[0], std::vector<double>(kids[0].paramCount(), 0.3));
+    synth::BatchedHsWorkspace arena;
+    synth::BatchedHsCost<kL> wide(target, ptrs, &arena);
+    EXPECT_EQ(arena.allocations, 1u);
+    synth::BatchedHsCost<2> narrow(target, ptrs, &arena);
+    synth::BatchedHsCost<1> one(target, ptrs, &arena);
+    EXPECT_EQ(&narrow.workspace(), &arena);
+
+    std::array<std::vector<double>, 2> xsStore;
+    std::array<const std::vector<double> *, 2> xs{};
+    std::array<std::vector<double>, 2> gradStore;
+    std::array<std::vector<double> *, 2> grads{};
+    for (size_t l = 0; l < 2; ++l) {
+        xsStore[l].resize(static_cast<size_t>(narrow.paramCount()));
+        for (double &v : xsStore[l])
+            v = rng.uniform(-pi, pi);
+        xs[l] = &xsStore[l];
+        grads[l] = &gradStore[l];
+    }
+    std::array<double, 2> f{};
+    narrow.evaluateBatch(xs, {0, 1}, f, grads);  // sizes the gradients
+    const uint64_t before =
+        g_allocation_count.load(std::memory_order_relaxed);
+    for (int i = 0; i < 10; ++i) {
+        narrow.evaluateBatch(xs, {0, 1}, f, grads);
+        one.evaluate(xsStore[0], gradStore[0]);
+    }
+    EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), before);
+    EXPECT_EQ(arena.allocations, 1u);
+}
+
 TEST(BatchedHsCostSuite, GradientMatchesFiniteDifference)
 {
     for (int n = 2; n <= 3; ++n) {
@@ -1027,6 +1183,57 @@ TEST(BatchedHsCostSuite, EvaluateBatchIsAllocationFreeAfterWarmup)
     EXPECT_EQ(cost.workspace().allocations, ws_allocs)
         << "SoA workspace grew after construction";
     EXPECT_EQ(cost.workspace().allocations, 1u);
+}
+
+TEST(LbfgsMachine, AcceptedStepsAreAllocationFreeAfterWarmup)
+{
+    // The 50-dimensional extended Rosenbrock function from its
+    // classic start, both tolerances off: the run goes to its
+    // 200-iteration cap, accepting curvature pairs all the way. Once
+    // the history ring is full an accepted step reuses the evicted
+    // pair's buffers, so nothing in the query/consume loop allocates.
+    constexpr size_t n = 50;
+    auto rosenbrock = [](const std::vector<double> &x,
+                         std::vector<double> &g) {
+        double v = 0.0;
+        std::fill(g.begin(), g.end(), 0.0);
+        for (size_t i = 0; i + 1 < x.size(); ++i) {
+            const double a = x[i + 1] - x[i] * x[i];
+            const double b = 1.0 - x[i];
+            v += 100.0 * a * a + b * b;
+            g[i] += -400.0 * a * x[i] - 2.0 * b;
+            g[i + 1] += 200.0 * a;
+        }
+        return v;
+    };
+    std::vector<double> x0(n);
+    for (size_t i = 0; i < n; ++i)
+        x0[i] = i % 2 ? 1.0 : -1.2;
+    LbfgsOptions opts;
+    opts.maxIterations = 200;
+    opts.gradTolerance = 0.0;
+    opts.valueTolerance = 0.0;
+    LbfgsMachine machine(std::move(x0), opts);
+    std::vector<double> grad(n);
+    auto step = [&] {
+        const double f = rosenbrock(machine.queryPoint(), grad);
+        machine.consume(f, grad);
+    };
+
+    // Warm-up: enough accepted steps to fill the history ring.
+    while (!machine.done() && machine.evaluations() < 40)
+        step();
+    const uint64_t before =
+        g_allocation_count.load(std::memory_order_relaxed);
+    while (!machine.done())
+        step();
+    const uint64_t after =
+        g_allocation_count.load(std::memory_order_relaxed);
+
+    const LbfgsResult r = machine.takeResult();
+    EXPECT_EQ(r.iterations, opts.maxIterations) << "run ended early";
+    EXPECT_EQ(after - before, 0u)
+        << "L-BFGS allocated in steady state (value=" << r.value << ")";
 }
 
 TEST(HsCostWorkspace, ConstructorWarmsTheArena)

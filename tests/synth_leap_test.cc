@@ -6,15 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "algos/algorithms.hh"
 #include "dense_ansatz.hh"
 #include "ir/lower.hh"
 #include "linalg/decompose.hh"
 #include "linalg/distance.hh"
+#include "obs/metrics.hh"
 #include "synth/instantiater.hh"
 #include "synth/leap_synthesizer.hh"
+#include "util/names.hh"
 #include "util/rng.hh"
 
 namespace quest {
@@ -184,6 +190,81 @@ TEST(Leap, ThreadedMatchesSerial)
     ASSERT_EQ(a.candidates.size(), b.candidates.size());
     for (size_t i = 0; i < a.candidates.size(); ++i)
         EXPECT_EQ(a.candidates[i].distance, b.candidates[i].distance);
+}
+
+/** FNV-1a over every recorded candidate's CNOT count, distance bits
+ *  and gates (type, wires, angle bits), plus the preferred index. */
+uint64_t
+outputDigest(const SynthOutput &out)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto add = [&h](uint64_t v) {
+        h ^= v;
+        h *= 0x100000001b3ULL;
+    };
+    add(out.candidates.size());
+    add(out.bestIndex);
+    for (const SynthCandidate &c : out.candidates) {
+        add(static_cast<uint64_t>(c.cnotCount));
+        add(std::bit_cast<uint64_t>(c.distance));
+        for (const Gate &g : c.circuit) {
+            add(static_cast<uint64_t>(g.type));
+            for (int q : g.qubits)
+                add(static_cast<uint64_t>(q));
+            for (double p : g.params)
+                add(std::bit_cast<uint64_t>(p));
+        }
+    }
+    return h;
+}
+
+TEST(Leap, SynthesizeMatchesRecordedDigests)
+{
+    // Whole synthesize() outputs, bit for bit, as recorded before the
+    // children of a frontier node were instantiated as one sibling
+    // group: the grouping must never show in a result. The three
+    // cases cover a two-node beam (two groups per level), the
+    // pipeline's one-node beam with a skeleton lineage, and a
+    // two-qubit target whose siblings are single tasks.
+    struct Case
+    {
+        const char *name;
+        Circuit circuit;
+        int beam, maxLayers;
+        bool skeleton;
+        uint64_t digest;
+    };
+    const Case cases[] = {
+        {"tfim_3", lowerToNative(algos::tfim(3, 1)), 2, 5, false,
+         0xb90ab1ffa70d59faULL},
+        {"heisenberg_4", lowerToNative(algos::heisenberg(4, 1)), 1, 3,
+         true, 0xddad75d9cd0d6343ULL},
+        {"vqe_2", lowerToNative(algos::vqe(2, 2, 5)), 2, 4, false,
+         0x7ac925ea31ec6bc8ULL},
+    };
+    auto &groups = obs::MetricsRegistry::global().counter(
+        names::kMetricSynthSiblingGroups);
+    for (const Case &c : cases) {
+        const Circuit native = c.circuit.withoutPseudoOps();
+        std::vector<std::pair<int, int>> skeleton;
+        for (const Gate &g : native)
+            if (g.type == GateType::CX)
+                skeleton.emplace_back(g.qubits[0], g.qubits[1]);
+        SynthConfig cfg;
+        cfg.beamWidth = c.beam;
+        cfg.inst.multistarts = 2;
+        cfg.inst.lbfgs.maxIterations = 300;
+        cfg.maxLayers = c.maxLayers;
+        const uint64_t groups0 = groups.value();
+        const SynthOutput out = LeapSynthesizer(cfg).synthesize(
+            circuitUnitary(native), static_cast<int>(skeleton.size()),
+            c.skeleton ? &skeleton : nullptr);
+        EXPECT_EQ(outputDigest(out), c.digest)
+            << c.name << ": 0x" << std::hex << outputDigest(out);
+        if (native.numQubits() > 2) {
+            EXPECT_GT(groups.value(), groups0) << c.name;
+        }
+    }
 }
 
 TEST(Leap, TopologyRestrictionRespected)

@@ -248,6 +248,58 @@ TEST(CircuitVerifier, RespectsIssueCap)
     EXPECT_EQ(capped.verify(c).issues.size(), 3u);
 }
 
+TEST(CircuitVerifier, PinsEveryIssueMessage)
+{
+    // Every per-gate message, byte for byte: the gate's rendering is
+    // built only when an issue is recorded, and must read exactly as
+    // an eagerly rendered one.
+    Circuit c(3);
+    c.append(Gate::barrier({0}));
+    c[0].qubits.clear();                  // 0: wireless pseudo-op
+    c.append(Gate::cx(0, 1));
+    c[1].qubits.pop_back();               // 1: one-wire CX
+    c.append(Gate::u3(0, 0.5, -1.25, 2));
+    c[2].qubits[0] = 7;                   // 2: wire out of range
+    c.append(Gate::cx(1, 2));
+    c[3].qubits[1] = 1;                   // 3: duplicate wire
+    c.append(Gate::u3(2, 0.1, 0.2, 0.3));
+    c[4].params.pop_back();               // 4: two parameters
+    c.append(Gate::u3(1, 0.1, 0.2, 0.3));
+    c[5].params[1] = std::numeric_limits<double>::infinity();  // 5
+    c.append(Gate::h(2));                 // 6: non-native
+    c.append(Gate::measure(0));           // 7: pseudo-op
+    c.append(Gate::measure(0));           // 8: measured twice
+    c.append(Gate::cx(1, 2));             // 9: after a measurement
+    const VerifyReport report =
+        CircuitVerifier({.requireNative = true, .allowPseudoOps = false})
+            .verify(c);
+    EXPECT_EQ(report.toString(),
+              "gate 0: barrier with no wires\n"
+              "gate 0: barrier ; — pseudo-op not allowed here\n"
+              "gate 0: barrier ; — barrier outside the native {u3, cx} set\n"
+              "gate 1: cx q[0]; — arity 1 does not match cx's arity of 2\n"
+              "gate 2: u3(0.5,-1.25,2) q[7]; — wire 7 outside circuit of "
+              "3 qubits\n"
+              "gate 3: cx q[1],q[1]; — duplicate wire 1\n"
+              "gate 4: u3(0.1,0.2) q[2]; — 2 parameters; u3 takes 3\n"
+              "gate 5: u3(0.1,inf,0.3) q[1]; — non-finite parameter\n"
+              "gate 6: h q[2]; — h outside the native {u3, cx} set\n"
+              "gate 7: measure q[0]; — pseudo-op not allowed here\n"
+              "gate 8: measure q[0]; — pseudo-op not allowed here\n"
+              "gate 8: measure q[0]; — wire 0 measured twice\n"
+              "gate 9: cx q[1],q[2]; — gate after a measurement "
+              "(measurements must be a trailing suffix)");
+
+    // The cap stops recording (and rendering) mid-circuit.
+    const VerifyReport capped =
+        CircuitVerifier({.requireNative = true, .maxIssues = 2}).verify(c);
+    EXPECT_EQ(capped.toString(),
+              "gate 0: barrier with no wires\n"
+              "gate 0: barrier ; — barrier outside the native {u3, cx} set");
+    EXPECT_EQ(CircuitVerifier().verify(Circuit()).toString(),
+              "circuit has no wires (default-constructed?)");
+}
+
 TEST(VerifyReport, RendersGateIndexAndMessage)
 {
     Circuit c = nativeFixture();
