@@ -115,7 +115,8 @@ BM_CostGradient(benchmark::State &state)
     Ansatz a = Ansatz::initialLayer(4);
     for (int l = 0; l < layers; ++l)
         a.addLayer(l % 3, l % 3 + 1);
-    synth::BatchedHsCost<1> cost(target, a);
+    synth::BatchedHsWorkspace arena;
+    synth::BatchedHsCost<1> cost(target, a, arena);
     Rng rng(1);
     std::vector<double> x(a.paramCount());
     for (double &v : x)
@@ -132,7 +133,8 @@ BM_HsEvalGrad(benchmark::State &state)
     const int n = static_cast<int>(state.range(0));
     Ansatz a = benchAnsatz(n, 2 * n);
     Matrix target = buildUnitary(lowerToNative(algos::tfim(n, 2)));
-    synth::BatchedHsCost<1> cost(target, a);
+    synth::BatchedHsWorkspace arena;
+    synth::BatchedHsCost<1> cost(target, a, arena);
     Rng rng(3);
     std::vector<double> x(a.paramCount());
     for (double &v : x)
@@ -241,7 +243,8 @@ double
 usPerTick(const Matrix &target, const std::vector<const Ansatz *> &siblings,
           int ticks)
 {
-    synth::BatchedHsCost<W> cost(target, siblings);
+    synth::BatchedHsWorkspace arena;
+    synth::BatchedHsCost<W> cost(target, siblings, arena);
     const Ansatz &a = *siblings.front();
     typename synth::BatchedHsCost<W>::Siblings sibling{};
     for (size_t l = 0; l < W; ++l)
@@ -324,7 +327,8 @@ instantiationTable()
         const std::string suffix = "_n" + std::to_string(n);
         Ansatz a = benchAnsatz(n, 2 * n);
         Matrix target = buildUnitary(lowerToNative(algos::tfim(n, 2)));
-        synth::BatchedHsCost<1> cost(target, a);
+        synth::BatchedHsWorkspace arena;
+        synth::BatchedHsCost<1> cost(target, a, arena);
         Rng rng(5);
         std::vector<double> x(a.paramCount());
         for (double &v : x)
@@ -340,7 +344,8 @@ instantiationTable()
 
         // Batched gradient evaluation: per-candidate throughput with
         // all kLanes lanes live.
-        synth::BatchedHsCost<kLanes> batched(target, a);
+        synth::BatchedHsWorkspace batchedArena;
+        synth::BatchedHsCost<kLanes> batched(target, a, batchedArena);
         std::array<std::vector<double>, kLanes> xsStore;
         std::array<const std::vector<double> *, kLanes> xs{};
         std::array<std::vector<double>, kLanes> gradStore;

@@ -86,7 +86,7 @@ struct WidthCosts
          size_t from, std::array<double, kLanes> &f)
     {
         if (!cost)
-            cost.emplace(target, siblings, &arena);
+            cost.emplace(target, siblings, arena);
         std::array<const std::vector<double> *, W> xw{};
         std::array<std::vector<double> *, W> gw{};
         typename BatchedHsCost<W>::Siblings sw{};
@@ -267,6 +267,11 @@ runBatchedMultistart(const Matrix &target, std::span<MultistartTask> tasks)
     Packed packed;
     std::array<double, L> fBuf{};
 
+    // The first fill launches the call's opening starts; every launch
+    // after it takes a lane a retired or dropped run freed, and counts
+    // as a refill.
+    fill();
+
     // Lockstep drain. Bounded: every machine's per-iteration
     // options.budget poll (merged call budget) limits its lifetime to
     // maxIterations line searches of at most 40 trials, and retired
@@ -284,7 +289,7 @@ runBatchedMultistart(const Matrix &target, std::span<MultistartTask> tasks)
                 laneStart[lane] = -1;
             }
         }
-        fill();
+        refills += fill();
 
         packed.xs.fill(nullptr);
         packed.grads.fill(nullptr);

@@ -245,7 +245,7 @@ BatchedHsWorkspace::ensure(size_t dim, size_t lanes, size_t u3Count,
 
 template <size_t L>
 BatchedHsCost<L>::BatchedHsCost(const Matrix &target, const Ansatz &ansatz,
-                                BatchedHsWorkspace *arena)
+                                BatchedHsWorkspace &arena)
     : BatchedHsCost(target, std::vector<const Ansatz *>{&ansatz}, arena)
 {
 }
@@ -253,8 +253,8 @@ BatchedHsCost<L>::BatchedHsCost(const Matrix &target, const Ansatz &ansatz,
 template <size_t L>
 BatchedHsCost<L>::BatchedHsCost(const Matrix &target,
                                 const std::vector<const Ansatz *> &siblings,
-                                BatchedHsWorkspace *arena)
-    : ws(arena ? arena : &own)
+                                BatchedHsWorkspace &arena)
+    : ws(arena)
 {
     QUEST_ASSERT(!siblings.empty(), "cost needs an ansatz");
     const Ansatz &first = *siblings.front();
@@ -291,7 +291,7 @@ BatchedHsCost<L>::BatchedHsCost(const Matrix &target,
     u3WithDerivatives(0.0, 0.0, 0.0, idleG, idleDg);
 
     // Warm the arena now so every evaluateBatch() is allocation-free.
-    ws->ensure(dim, L, plans[0].u3Count, several);
+    ws.ensure(dim, L, plans[0].u3Count, several);
 }
 
 template <size_t L>
@@ -304,8 +304,8 @@ BatchedHsCost<L>::finalLayer(size_t l, uint32_t s,
     const CompiledPlan &plan = plans[s];
     const std::span<const OpPlan> ops(plan.ops.data() + shared,
                                       plan.ops.size() - shared);
-    SweepArena &batch = ws->batch;
-    SweepArena &one = ws->lane;
+    SweepArena &batch = ws.batch;
+    SweepArena &one = ws.lane;
 
     // Gather the lane's shared-prefix product into the 1-lane sweep.
     const double *srcRe = batch.preRe + sharedU3 * dd * L;
@@ -366,9 +366,9 @@ BatchedHsCost<L>::evaluateBatch(
     const size_t dd = dim * dim;
     const size_t ddL = dd * L;
 
-    if (!ws->ensure(dim, L, plan.u3Count, shared < count))
+    if (!ws.ensure(dim, L, plan.u3Count, shared < count))
         workspaceReuseCounter().increment();
-    SweepArena &a = ws->batch;
+    SweepArena &a = ws.batch;
     const Sweep<L> sweep{*kernels, dim, a, xs};
 
     // Prefix slice 0 is the identity in every lane.

@@ -128,7 +128,7 @@ class BatchedHsCost
 
     /** The cost of one ansatz; @p arena as below. */
     BatchedHsCost(const Matrix &target, const Ansatz &ansatz,
-                  BatchedHsWorkspace *arena = nullptr);
+                  BatchedHsWorkspace &arena);
 
     /**
      * The cost of a sibling group (Ansatz::isSiblingOf): the ansätze
@@ -141,16 +141,13 @@ class BatchedHsCost
      * lane's value and gradient are bit-identical to its sibling's
      * BatchedHsCost<1>.
      *
-     * @p arena is a workspace shared with the other costs of one
-     * driver call (not owned; it grows to the widest), or nullptr for
-     * a private one.
+     * @p arena is the scratch workspace, not owned: it must outlive
+     * the cost, and costs that run one after another (the widths of
+     * one driver call) may share it, as it grows to the widest.
      */
     BatchedHsCost(const Matrix &target,
                   const std::vector<const Ansatz *> &siblings,
-                  BatchedHsWorkspace *arena = nullptr);
-
-    BatchedHsCost(const BatchedHsCost &) = delete;
-    BatchedHsCost &operator=(const BatchedHsCost &) = delete;
+                  BatchedHsWorkspace &arena);
 
     /**
      * Evaluate all lanes at once. xs[l] points at lane l's parameter
@@ -186,9 +183,6 @@ class BatchedHsCost
 
     int paramCount() const { return plans[0].nParams; }
 
-    /** The reusable arena (test/diagnostic hook). */
-    const BatchedHsWorkspace &workspace() const { return *ws; }
-
     /** The kernel table in use (test/diagnostic hook); defaults to
      *  batchKernelsFor<L>, overridable for parity tests. */
     void useKernels(const kern::batch::BatchKernelSet &k) { kernels = &k; }
@@ -210,8 +204,7 @@ class BatchedHsCost
     std::vector<double> tcRe, tcIm;  //!< conj(target), plain scalars
     Complex idleG[4];       //!< u3WithDerivatives(0,0,0): gate ...
     Complex idleDg[3][4];   //!< ... and derivatives, for idle lanes
-    BatchedHsWorkspace own;
-    BatchedHsWorkspace *ws;
+    BatchedHsWorkspace &ws;
 };
 
 extern template class BatchedHsCost<1>;

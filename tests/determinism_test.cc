@@ -186,7 +186,8 @@ eachStartAlone(const Matrix &target, const Ansatz &a, uint64_t seed,
 {
     Rng rng(seed);
     std::vector<Rng> streams = rng.splitN(static_cast<size_t>(starts));
-    synth::BatchedHsCost<1> cost(target, a);
+    synth::BatchedHsWorkspace arena;
+    synth::BatchedHsCost<1> cost(target, a, arena);
     const GradObjective objective = [&cost](const std::vector<double> &x,
                                             std::vector<double> *grad) {
         return cost.evaluate(x, *grad);
@@ -337,6 +338,7 @@ TEST(Determinism, MultistartDriverMatchesEachStartAloneAtEveryWidth)
     auto &lanes = reg.counter(names::kMetricSynthBatchLanes);
     auto &width = reg.counter(names::kMetricSynthBatchWidth);
     auto &evals = reg.counter(names::kMetricLbfgsEvaluations);
+    auto &refills = reg.counter(names::kMetricSynthLaneRefills);
 
     // 1..9 starts: every table width from the first tick, and runs
     // that end at different iteration counts, so a call's ticks step
@@ -350,6 +352,7 @@ TEST(Determinism, MultistartDriverMatchesEachStartAloneAtEveryWidth)
         const std::vector<uint8_t> &computed = task.computed;
         const uint64_t ticks0 = ticks.value(), lanes0 = lanes.value();
         const uint64_t width0 = width.value(), evals0 = evals.value();
+        const uint64_t refills0 = refills.value();
         synth::runBatchedMultistart(target, {&task, 1});
         const uint64_t dTicks = ticks.value() - ticks0;
         const uint64_t dLanes = lanes.value() - lanes0;
@@ -368,6 +371,11 @@ TEST(Determinism, MultistartDriverMatchesEachStartAloneAtEveryWidth)
         // holding them; where the multi-lane tables are scalar-lane
         // loops, every tick is a 1-lane tick.
         EXPECT_EQ(dLanes, evals.value() - evals0) << starts;
+        // The opening fill launches up to kLanes starts; each later
+        // launch takes a retired lane.
+        EXPECT_EQ(refills.value() - refills0,
+                  static_cast<uint64_t>(std::max(starts - 8, 0)))
+            << starts;
         if (!simdTicks()) {
             EXPECT_EQ(dWidth, dLanes) << starts;
             EXPECT_EQ(dTicks, dLanes) << starts;
@@ -481,6 +489,7 @@ TEST(Determinism, SiblingGroupMatchesEachTaskAlone)
     auto &evals = reg.counter(names::kMetricLbfgsEvaluations);
     auto &groups = reg.counter(names::kMetricSynthSiblingGroups);
     auto &early = reg.counter(names::kMetricSynthEarlyStops);
+    auto &refills = reg.counter(names::kMetricSynthLaneRefills);
     const uint64_t early0 = early.value();
     for (size_t count = 1; count <= kids.size(); ++count) {
         std::vector<InstantiationResult> alone;
@@ -503,6 +512,7 @@ TEST(Determinism, SiblingGroupMatchesEachTaskAlone)
             tasks.push_back({kids[k], rngs[k], opts[k], warmOf(k)});
         const uint64_t starts1 = starts.value(), evals1 = evals.value();
         const uint64_t groups1 = groups.value();
+        const uint64_t refills1 = refills.value();
         const std::vector<InstantiationResult> together =
             instantiateSiblings(target, tasks);
 
@@ -515,6 +525,17 @@ TEST(Determinism, SiblingGroupMatchesEachTaskAlone)
         EXPECT_EQ(starts.value() - starts1, aloneStarts) << count;
         EXPECT_EQ(evals.value() - evals1, aloneEvals) << count;
         EXPECT_EQ(groups.value() - groups1, count > 1 ? 1u : 0u);
+        // The opening fill admits, in order, each task whose starts
+        // still fit the kLanes free lanes; every later launch, into a
+        // lane a retired or dropped run freed, is a refill.
+        uint64_t opening = 0;
+        for (size_t k = 0; k < count; ++k) {
+            const auto n = static_cast<uint64_t>(opts[k].multistarts);
+            if (opening + n <= 8)
+                opening += n;
+        }
+        EXPECT_EQ(refills.value() - refills1, aloneStarts - opening)
+            << count;
     }
     EXPECT_GT(early.value(), early0) << "no task stopped early";
 }

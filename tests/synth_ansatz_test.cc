@@ -132,7 +132,8 @@ TEST(HsCost, ZeroAtExactTarget)
     Ansatz a = testAnsatz(2, 2, rng);
     auto params = randomParams(a.paramCount(), rng);
     Matrix target = denseUnitary(a, params);
-    HsCost cost(target, a);
+    synth::BatchedHsWorkspace arena;
+    HsCost cost(target, a, arena);
     const double f = costAt(cost, params);
     EXPECT_NEAR(f, 0.0, 1e-10);
     EXPECT_NEAR(std::sqrt(std::max(0.0, f)), 0.0, 1e-5);
@@ -144,7 +145,8 @@ TEST(HsCost, GlobalPhaseInvariant)
     Ansatz a = testAnsatz(2, 2, rng);
     auto params = randomParams(a.paramCount(), rng);
     Matrix target = denseUnitary(a, params) * std::polar(1.0, 0.9);
-    HsCost cost(target, a);
+    synth::BatchedHsWorkspace arena;
+    HsCost cost(target, a, arena);
     EXPECT_NEAR(costAt(cost, params), 0.0, 1e-10);
 }
 
@@ -155,7 +157,8 @@ TEST(HsCost, GradientMatchesFiniteDifference)
         Ansatz a = testAnsatz(n, 3, rng);
         auto params = randomParams(a.paramCount(), rng);
         Matrix target = denseUnitary(a, randomParams(a.paramCount(), rng));
-        HsCost cost(target, a);
+        synth::BatchedHsWorkspace arena;
+        HsCost cost(target, a, arena);
 
         std::vector<double> grad;
         double f = cost.evaluate(params, grad);
@@ -183,7 +186,8 @@ TEST(HsCost, FastPathMatchesReferenceGradient)
     Ansatz a = testAnsatz(3, 4, rng);
     auto params = randomParams(a.paramCount(), rng);
     Matrix target = denseUnitary(a, randomParams(a.paramCount(), rng));
-    HsCost cost(target, a);
+    synth::BatchedHsWorkspace arena;
+    HsCost cost(target, a, arena);
 
     std::vector<double> fast;
     cost.evaluate(params, fast);
@@ -207,7 +211,8 @@ TEST(HsCost, DistanceMatchesHsDistance)
     Ansatz a = testAnsatz(2, 2, rng);
     auto params = randomParams(a.paramCount(), rng);
     Matrix target = denseUnitary(a, randomParams(a.paramCount(), rng));
-    HsCost cost(target, a);
+    synth::BatchedHsWorkspace arena;
+    HsCost cost(target, a, arena);
     EXPECT_NEAR(std::sqrt(std::max(0.0, costAt(cost, params))),
                 hsDistance(target, denseUnitary(a, params)), 1e-10);
 }

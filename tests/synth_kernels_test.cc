@@ -590,7 +590,8 @@ TEST(HsCostWorkspace, GradientMatchesFiniteDifference)
         std::vector<double> x(a.paramCount());
         for (double &v : x)
             v = rng.uniform(-pi, pi);
-        HsCost cost(target, a);
+        synth::BatchedHsWorkspace arena;
+        HsCost cost(target, a, arena);
         std::vector<double> grad;
         cost.evaluate(x, grad);
         ASSERT_EQ(grad.size(), x.size());
@@ -619,7 +620,8 @@ TEST(HsCostWorkspace, MatchesDenseReferencePath)
     std::vector<double> x(a.paramCount());
     for (double &v : x)
         v = rng.uniform(-pi, pi);
-    HsCost cost(target, a);
+    synth::BatchedHsWorkspace arena;
+    HsCost cost(target, a, arena);
     std::vector<double> grad;
     const double f = cost.evaluate(x, grad);
 
@@ -650,7 +652,8 @@ TEST(HsCostWorkspace, EvaluateIsAllocationFreeAfterWarmup)
         v = rng.uniform(-pi, pi);
     const Matrix target = denseUnitary(a, truth);
 
-    HsCost cost(target, a);
+    synth::BatchedHsWorkspace arena;
+    HsCost cost(target, a, arena);
     std::vector<double> x(a.paramCount());
     for (double &v : x)
         v = rng.uniform(-pi, pi);
@@ -659,8 +662,8 @@ TEST(HsCostWorkspace, EvaluateIsAllocationFreeAfterWarmup)
     // initialized static (metric counters) once.
     cost.evaluate(x, grad);
 
-    const uint64_t ws_allocs = cost.workspace().allocations;
-    const uint64_t ws_reuses = cost.workspace().reuses;
+    const uint64_t ws_allocs = arena.allocations;
+    const uint64_t ws_reuses = arena.reuses;
     double sink = 0.0;
     const uint64_t before =
         g_allocation_count.load(std::memory_order_relaxed);
@@ -673,9 +676,9 @@ TEST(HsCostWorkspace, EvaluateIsAllocationFreeAfterWarmup)
 
     EXPECT_EQ(after - before, 0u)
         << "evaluate() allocated in steady state (sink=" << sink << ")";
-    EXPECT_EQ(cost.workspace().allocations, ws_allocs)
+    EXPECT_EQ(arena.allocations, ws_allocs)
         << "workspace grew after construction";
-    EXPECT_EQ(cost.workspace().reuses, ws_reuses + 100);
+    EXPECT_EQ(arena.reuses, ws_reuses + 100);
 }
 
 // ---------------------------------------------------------------------
@@ -872,9 +875,11 @@ expectCostMatchesOneLane(const kern::batch::BatchKernelSet &k,
                          const Ansatz &a, const Matrix &target, Rng &rng,
                          const std::string &where)
 {
-    synth::BatchedHsCost<W> cost(target, a);
+    synth::BatchedHsWorkspace arena;
+    synth::BatchedHsCost<W> cost(target, a, arena);
     cost.useKernels(k);
-    HsCost ref(target, a);
+    synth::BatchedHsWorkspace refArena;
+    HsCost ref(target, a, refArena);
     for (size_t live = 1; live <= W; ++live) {
         std::array<std::vector<double>, W> xsStore;
         std::array<const std::vector<double> *, W> xs{};
@@ -973,12 +978,14 @@ expectSiblingsMatchEachChild(const kern::batch::BatchKernelSet *k,
                              const std::string &where)
 {
     std::vector<const Ansatz *> ptrs;
+    synth::BatchedHsWorkspace refArena;
     std::vector<std::unique_ptr<HsCost>> refs;
     for (const Ansatz &kid : kids) {
         ptrs.push_back(&kid);
-        refs.push_back(std::make_unique<HsCost>(target, kid));
+        refs.push_back(std::make_unique<HsCost>(target, kid, refArena));
     }
-    synth::BatchedHsCost<W> cost(target, ptrs);
+    synth::BatchedHsWorkspace arena;
+    synth::BatchedHsCost<W> cost(target, ptrs, arena);
     if (k)
         cost.useKernels(*k);
     const size_t nKids = kids.size();
@@ -1065,11 +1072,10 @@ TEST(BatchedHsCostSuite, WidthsShareOneArena)
     const Matrix target = denseUnitary(
         kids[0], std::vector<double>(kids[0].paramCount(), 0.3));
     synth::BatchedHsWorkspace arena;
-    synth::BatchedHsCost<kL> wide(target, ptrs, &arena);
+    synth::BatchedHsCost<kL> wide(target, ptrs, arena);
     EXPECT_EQ(arena.allocations, 1u);
-    synth::BatchedHsCost<2> narrow(target, ptrs, &arena);
-    synth::BatchedHsCost<1> one(target, ptrs, &arena);
-    EXPECT_EQ(&narrow.workspace(), &arena);
+    synth::BatchedHsCost<2> narrow(target, ptrs, arena);
+    synth::BatchedHsCost<1> one(target, ptrs, arena);
 
     std::array<std::vector<double>, 2> xsStore;
     std::array<const std::vector<double> *, 2> xs{};
@@ -1108,7 +1114,8 @@ TEST(BatchedHsCostSuite, GradientMatchesFiniteDifference)
         for (double &v : x)
             v = rng.uniform(-pi, pi);
 
-        synth::BatchedHsCost<kL> cost(target, a);
+        synth::BatchedHsWorkspace arena;
+        synth::BatchedHsCost<kL> cost(target, a, arena);
         std::array<const std::vector<double> *, kL> xs{};
         std::array<std::vector<double>, kL> gradStore;
         std::array<std::vector<double> *, kL> grads{};
@@ -1148,7 +1155,8 @@ TEST(BatchedHsCostSuite, EvaluateBatchIsAllocationFreeAfterWarmup)
         v = rng.uniform(-pi, pi);
     const Matrix target = denseUnitary(a, truth);
 
-    synth::BatchedHsCost<kL> cost(target, a);
+    synth::BatchedHsWorkspace arena;
+    synth::BatchedHsCost<kL> cost(target, a, arena);
     std::array<std::vector<double>, kL> xsStore;
     std::array<const std::vector<double> *, kL> xs{};
     std::array<std::vector<double>, kL> gradStore;
@@ -1165,7 +1173,7 @@ TEST(BatchedHsCostSuite, EvaluateBatchIsAllocationFreeAfterWarmup)
     // statics once.
     cost.evaluateBatch(xs, f, grads);
 
-    const uint64_t ws_allocs = cost.workspace().allocations;
+    const uint64_t ws_allocs = arena.allocations;
     double sink = 0.0;
     const uint64_t before =
         g_allocation_count.load(std::memory_order_relaxed);
@@ -1180,9 +1188,9 @@ TEST(BatchedHsCostSuite, EvaluateBatchIsAllocationFreeAfterWarmup)
     EXPECT_EQ(after - before, 0u)
         << "evaluateBatch() allocated in steady state (sink=" << sink
         << ")";
-    EXPECT_EQ(cost.workspace().allocations, ws_allocs)
+    EXPECT_EQ(arena.allocations, ws_allocs)
         << "SoA workspace grew after construction";
-    EXPECT_EQ(cost.workspace().allocations, 1u);
+    EXPECT_EQ(arena.allocations, 1u);
 }
 
 TEST(LbfgsMachine, AcceptedStepsAreAllocationFreeAfterWarmup)
@@ -1245,15 +1253,16 @@ TEST(HsCostWorkspace, ConstructorWarmsTheArena)
         v = rng.uniform(-pi, pi);
     const Matrix target = denseUnitary(a, truth);
 
-    HsCost cost(target, a);
+    synth::BatchedHsWorkspace arena;
+    HsCost cost(target, a, arena);
     // The constructor's single ensure() is the only growth; every
     // evaluate() afterwards is a pure reuse.
-    EXPECT_EQ(cost.workspace().allocations, 1u);
-    EXPECT_EQ(cost.workspace().reuses, 0u);
+    EXPECT_EQ(arena.allocations, 1u);
+    EXPECT_EQ(arena.reuses, 0u);
     std::vector<double> x(a.paramCount(), 0.25);
     costAt(cost, x);
-    EXPECT_EQ(cost.workspace().allocations, 1u);
-    EXPECT_EQ(cost.workspace().reuses, 1u);
+    EXPECT_EQ(arena.allocations, 1u);
+    EXPECT_EQ(arena.reuses, 1u);
 }
 
 } // namespace
